@@ -128,6 +128,18 @@ fn main() {
         }
     }
 
+    // An id nothing below matches would run nothing and still exit 0.
+    let unknown: Vec<&str> = only
+        .iter()
+        .flatten()
+        .map(String::as_str)
+        .filter(|id| !exp::ALL_IDS.contains(id))
+        .collect();
+    if !unknown.is_empty() {
+        eprintln!("regen: unknown experiment id(s): {}", unknown.join(", "));
+        eprintln!("experiments: {}", exp::ALL_IDS.join(", "));
+        std::process::exit(2);
+    }
     let wanted = |id: &str| only.as_ref().is_none_or(|l| l.iter().any(|x| x == id));
     let mut h = Harness::new(scale.clone());
     h.verbose = verbose;

@@ -11,8 +11,9 @@
 //!   protocol is these pieces plus a local timer owned by the engine);
 //! - [`ckpt_graph`] — the checkpoint dependency graph built from
 //!   watermarks;
-//! - [`recovery`] — rollback propagation (paper Algorithm 1) and the
-//!   coordinated recovery line;
+//! - [`recovery`] — rollback propagation (paper Algorithm 1), the
+//!   coordinated recovery line, and the reclamation floors a line
+//!   implies;
 //! - [`snapshot`] — incremental (content-defined-chunked) snapshot
 //!   manifests: planning, reassembly, and the store key conventions;
 //! - [`durable`] — checkpoint I/O over the pluggable storage subsystem
@@ -49,7 +50,9 @@ pub use exec::{AbstractExec, AbstractProtocol};
 pub use fault::{BrownoutWindow, FaultPlan, KillEvent, StragglerWindow};
 pub use meta::{ChannelBook, CheckpointId, CheckpointKind, CheckpointMeta};
 pub use protocol::ProtocolKind;
-pub use recovery::{coordinated_line, rollback_propagation, RecoveryOutcome};
+pub use recovery::{
+    coordinated_line, reclaim_floors, rollback_propagation, ReclaimFloors, RecoveryOutcome,
+};
 pub use snapshot::{
     assemble, plan_snapshot, split_chunks, ChunkRef, ChunkerConfig, IncrementalPolicy,
     SnapshotManifest, UploadPlan,

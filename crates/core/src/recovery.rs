@@ -4,11 +4,13 @@
 //!   checkpoint graph, used by the uncoordinated and communication-induced
 //!   protocols;
 //! - [`coordinated_line`] — the trivial recovery line of the coordinated
-//!   protocol: the latest round completed by every instance.
+//!   protocol: the latest round completed by every instance;
+//! - [`reclaim_floors`] — what a recovery line makes garbage: the
+//!   channel-log entries, determinants and checkpoints below it.
 
-use crate::ckpt_graph::CheckpointGraph;
+use crate::ckpt_graph::{ChannelTriple, CheckpointGraph};
 use crate::meta::{CheckpointId, CheckpointMeta};
-use checkmate_dataflow::graph::InstanceIdx;
+use checkmate_dataflow::graph::{ChannelIdx, InstanceIdx};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The outcome of a recovery-line search.
@@ -123,12 +125,48 @@ pub fn coordinated_line(metas: &[CheckpointMeta]) -> BTreeMap<InstanceIdx, Check
         .collect()
 }
 
+/// Everything at or below these marks is unreachable by the recovery
+/// line they were computed from — and, lines being monotone (a superset
+/// of durable checkpoints never yields an earlier line), by every later
+/// line too.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ReclaimFloors {
+    /// Per channel `a → b`: the receive watermark of `b`'s line member.
+    /// Replay reads `(this, sent_wm_a(line)]`, so log entries with
+    /// `seq ≤ this` are garbage.
+    pub channel_seq: BTreeMap<ChannelIdx, u64>,
+    /// Per instance: its line member's determinant-log position.
+    /// Determinants below it are garbage.
+    pub det_pos: BTreeMap<InstanceIdx, u64>,
+    /// Per instance: its line member's index. Checkpoints with a lower
+    /// index are garbage.
+    pub ckpt_index: BTreeMap<InstanceIdx, u64>,
+}
+
+/// What the recovery line `line` over `metas` lets a log-based protocol
+/// reclaim (checkpoint space reclamation, Wang et al. 1995). Pure: the
+/// caller owns the logs and the store, and decides which checkpoint
+/// objects below `ckpt_index` it can actually delete.
+pub fn reclaim_floors(
+    line: &BTreeMap<InstanceIdx, CheckpointId>,
+    metas: &BTreeMap<(InstanceIdx, u64), CheckpointMeta>,
+    channels: &[ChannelTriple],
+) -> ReclaimFloors {
+    let member = |inst: InstanceIdx| &metas[&(inst, line[&inst].index)];
+    ReclaimFloors {
+        channel_seq: channels
+            .iter()
+            .map(|c| (c.ch, member(c.to).received_on(c.ch)))
+            .collect(),
+        det_pos: line.keys().map(|&i| (i, member(i).det_pos())).collect(),
+        ckpt_index: line.iter().map(|(&i, id)| (i, id.index)).collect(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ckpt_graph::ChannelTriple;
     use crate::meta::CheckpointKind;
-    use checkmate_dataflow::graph::ChannelIdx;
 
     fn meta(inst: u32, index: u64, sent: &[(u32, u64)], recv: &[(u32, u64)]) -> CheckpointMeta {
         let mut m = CheckpointMeta::initial(InstanceIdx(inst), false);
@@ -250,6 +288,37 @@ mod tests {
         // sanity: (2, 1) is consistent (sent 6 ≥ recv 4): expect exactly it
         assert_eq!(out.line[&InstanceIdx(0)].index, 2);
         assert_eq!(out.line[&InstanceIdx(1)].index, 1);
+    }
+
+    #[test]
+    fn reclaim_floors_follow_the_receivers_line_members() {
+        // Line (2, 1): the receiver's member saw 4 of the 6 messages the
+        // sender's member had sent — 5 and 6 are the replay range, 1..=4
+        // are garbage, as is everything of either instance below its
+        // member.
+        let metas: BTreeMap<_, _> = [
+            meta(0, 0, &[], &[]),
+            meta(0, 1, &[(0, 3)], &[]),
+            meta(0, 2, &[(0, 6)], &[]),
+            meta(1, 0, &[], &[]),
+            meta(1, 1, &[], &[(0, 4)]),
+            meta(1, 2, &[], &[(0, 8)]),
+        ]
+        .into_iter()
+        .map(|m| ((m.id.instance, m.id.index), m))
+        .collect();
+        let channels = [ch(0, 0, 1)];
+        let g = CheckpointGraph::build(metas.values().cloned().collect(), &channels);
+        let floors = reclaim_floors(&rollback_propagation(&g).line, &metas, &channels);
+        assert_eq!(floors.channel_seq, [(ChannelIdx(0), 4)].into());
+        assert_eq!(
+            floors.det_pos,
+            [(InstanceIdx(0), 0), (InstanceIdx(1), 4)].into()
+        );
+        assert_eq!(
+            floors.ckpt_index,
+            [(InstanceIdx(0), 2), (InstanceIdx(1), 1)].into()
+        );
     }
 
     fn coor_meta(inst: u32, index: u64, round: u64) -> CheckpointMeta {

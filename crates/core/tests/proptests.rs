@@ -8,10 +8,12 @@
 //! produces a consistent, maximal recovery line.
 
 use checkmate_core::exec::{AbstractExec, AbstractProtocol};
-use checkmate_core::recovery::rollback_propagation;
+use checkmate_core::recovery::{reclaim_floors, rollback_propagation, ReclaimFloors};
 use checkmate_core::zpath;
+use checkmate_core::CheckpointMeta;
 use checkmate_dataflow::graph::InstanceIdx;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// One step of a random execution.
 #[derive(Debug, Clone, Copy)]
@@ -29,24 +31,29 @@ fn op_strategy(n: u8) -> impl Strategy<Value = Op> {
     ]
 }
 
+fn apply(e: &mut AbstractExec, op: Op) {
+    let n = e.n();
+    match op {
+        Op::Send { from, to } => {
+            let (f, t) = (from as usize % n, to as usize % n);
+            if f != t {
+                e.send(f, t);
+            }
+        }
+        Op::Deliver { from, to } => {
+            let (f, t) = (from as usize % n, to as usize % n);
+            if f != t {
+                e.deliver(f, t);
+            }
+        }
+        Op::Checkpoint { p } => e.checkpoint(p as usize % n),
+    }
+}
+
 fn run(n: usize, ops: &[Op], protocol: AbstractProtocol) -> AbstractExec {
     let mut e = AbstractExec::new(n, protocol);
-    for op in ops {
-        match *op {
-            Op::Send { from, to } => {
-                let (f, t) = (from as usize % n, to as usize % n);
-                if f != t {
-                    e.send(f, t);
-                }
-            }
-            Op::Deliver { from, to } => {
-                let (f, t) = (from as usize % n, to as usize % n);
-                if f != t {
-                    e.deliver(f, t);
-                }
-            }
-            Op::Checkpoint { p } => e.checkpoint(p as usize % n),
-        }
+    for &op in ops {
+        apply(&mut e, op);
     }
     e
 }
@@ -236,6 +243,68 @@ proptest! {
                     }
                 }
             }
+        }
+    }
+
+    /// Reclamation safety for the live coordinator, which truncates the
+    /// channel and determinant logs below [`reclaim_floors`] of the
+    /// current line every time a checkpoint becomes durable. Over a
+    /// growing set of checkpoints the floors never decrease, and what
+    /// the line of any superset makes recovery read — per channel the
+    /// replay range `(recv_wm, sent_wm]` of its members, per instance
+    /// the determinant suffix from its member's `det_pos()` — lies at or
+    /// above the floors of the subset. Each step is checked against the
+    /// step before it; every step's set contains all earlier ones, so
+    /// the floors being monotone carries the bound to every pair.
+    #[test]
+    fn reclaim_floors_only_rise_and_stay_below_what_later_lines_read(
+        ops in proptest::collection::vec(op_strategy(3), 0..150),
+        proto in prop_oneof![
+            Just(AbstractProtocol::Uncoordinated),
+            Just(AbstractProtocol::CicHmnr),
+        ],
+    ) {
+        let mut e = AbstractExec::new(3, proto);
+        let channels = e.channel_triples();
+        let mut prev = ReclaimFloors::default();
+        for op in ops {
+            apply(&mut e, op);
+            let metas: BTreeMap<(InstanceIdx, u64), CheckpointMeta> = e
+                .metas()
+                .iter()
+                .map(|m| ((m.id.instance, m.id.index), m.clone()))
+                .collect();
+            let line = rollback_propagation(&e.graph()).line;
+            let member = |inst: InstanceIdx| &metas[&(inst, line[&inst].index)];
+            for c in &channels {
+                let (lo, hi) = (member(c.to).received_on(c.ch), member(c.from).sent_on(c.ch));
+                prop_assert!(lo <= hi, "orphans on {:?}: replay range ({lo}, {hi}]", c.ch);
+                let floor = prev.channel_seq.get(&c.ch).copied().unwrap_or(0);
+                prop_assert!(
+                    lo >= floor,
+                    "replay range ({lo}, {hi}] on {:?} reaches below the reclaimed seq {floor}",
+                    c.ch
+                );
+            }
+            for &inst in line.keys() {
+                let floor = prev.det_pos.get(&inst).copied().unwrap_or(0);
+                prop_assert!(
+                    member(inst).det_pos() >= floor,
+                    "{inst:?} replays determinants from {} but they are reclaimed below {floor}",
+                    member(inst).det_pos()
+                );
+            }
+            let floors = reclaim_floors(&line, &metas, &channels);
+            for (ch, seq) in &prev.channel_seq {
+                prop_assert!(floors.channel_seq[ch] >= *seq, "log floor of {ch:?} fell");
+            }
+            for (inst, pos) in &prev.det_pos {
+                prop_assert!(floors.det_pos[inst] >= *pos, "determinant floor of {inst:?} fell");
+            }
+            for (inst, index) in &prev.ckpt_index {
+                prop_assert!(floors.ckpt_index[inst] >= *index, "checkpoint floor of {inst:?} fell");
+            }
+            prev = floors;
         }
     }
 

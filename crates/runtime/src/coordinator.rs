@@ -7,6 +7,9 @@
 //! choreography: pause all → quiesce uploads → compute the protocol's
 //! recovery line → discard post-line checkpoints → restore every worker
 //! → replay logged in-flight messages → resume under a fresh epoch.
+//! Between failures it is also the reclamation service of the
+//! message-logging protocols: every poll that folded in a durable ack
+//! recomputes the line and frees what lies below it (see [`Reclaimer`]).
 //! Replay is force-pushed into the receivers' inboxes while every worker
 //! is paused, so replayed wires always precede regenerated traffic on
 //! their channel; receivers re-establish cross-channel order against
@@ -23,9 +26,9 @@ use crate::wire::Wire;
 use crate::worker::worker_main;
 use crate::{report::LiveReport, Shared};
 use checkmate_core::{
-    coordinated_line, rollback_propagation, snapshot, ChannelTriple, CheckpointGraph, CheckpointId,
-    CheckpointMeta, CicPiggyback, DurableCheckpoints, FaultPlan, HmnrPiggyback, KillEvent,
-    ProtocolKind,
+    coordinated_line, reclaim_floors, rollback_propagation, snapshot, ChannelTriple,
+    CheckpointGraph, CheckpointId, CheckpointMeta, CicPiggyback, DurableCheckpoints, FaultPlan,
+    HmnrPiggyback, KillEvent, ProtocolKind,
 };
 use checkmate_dataflow::graph::{InstanceIdx, PhysicalGraph};
 use checkmate_dataflow::ops::Digest;
@@ -242,13 +245,27 @@ pub fn run_live(
     report
 }
 
+/// The physical channels' endpoints, in the form the checkpoint graph
+/// and the reclamation floors take them.
+fn channel_triples(pg: &PhysicalGraph) -> Vec<ChannelTriple> {
+    pg.channels()
+        .iter()
+        .map(|c| ChannelTriple {
+            ch: c.idx,
+            from: c.from,
+            to: c.to,
+        })
+        .collect()
+}
+
 /// Compute the protocol's recovery line over the durable checkpoints.
-/// Shared between [`recover`] (the actual rollback) and the tiered
-/// store's pin refresh, so eviction protects exactly the checkpoints a
-/// failure right now would restore from.
+/// Shared between [`recover`] (the actual rollback), the tiered store's
+/// pin refresh and log reclamation, so eviction protects — and
+/// reclamation spares — exactly what a failure right now would restore
+/// from.
 fn recovery_line(
     protocol: ProtocolKind,
-    pg: &PhysicalGraph,
+    triples: &[ChannelTriple],
     metas: &BTreeMap<(InstanceIdx, u64), CheckpointMeta>,
 ) -> BTreeMap<InstanceIdx, CheckpointId> {
     match protocol {
@@ -261,15 +278,6 @@ fn recovery_line(
             coordinated_line(&ms)
         }
         _ => {
-            let triples: Vec<ChannelTriple> = pg
-                .channels()
-                .iter()
-                .map(|c| ChannelTriple {
-                    ch: c.idx,
-                    from: c.from,
-                    to: c.to,
-                })
-                .collect();
             // A checkpoint the uploader *deferred* (bounded retries
             // exhausted mid-brownout) was never acked durable, so an
             // instance's index sequence may have holes. The rollback
@@ -291,25 +299,24 @@ fn recovery_line(
                 })
                 .map(|(_, m)| m.clone())
                 .collect();
-            rollback_propagation(&CheckpointGraph::build(ms, &triples)).line
+            rollback_propagation(&CheckpointGraph::build(ms, triples)).line
         }
     }
 }
 
-/// Re-pin every object the current recovery line can read — each line
+/// Re-pin every object the recovery line `line` can read — each line
 /// member's whole-state key plus all its manifest chunks — so the
 /// compactor (in the uploader thread) never demotes a chunk a failure
 /// right now would need, below its read-cost budget. Mirrors the
 /// engine's `on_tier_maintain` pin set exactly.
 fn refresh_pins(
     tiered: &Option<Arc<TieredBackend>>,
-    protocol: ProtocolKind,
-    pg: &PhysicalGraph,
+    line: &BTreeMap<InstanceIdx, CheckpointId>,
     metas: &BTreeMap<(InstanceIdx, u64), CheckpointMeta>,
 ) {
     let Some(backend) = tiered else { return };
     let mut pins = BTreeSet::new();
-    for (inst, id) in recovery_line(protocol, pg, metas) {
+    for (&inst, id) in line {
         let Some(meta) = metas.get(&(inst, id.index)) else {
             continue;
         };
@@ -323,6 +330,75 @@ fn refresh_pins(
         }
     }
     backend.set_pins(pins);
+}
+
+/// Recovery-line-driven reclamation for the message-logging protocols
+/// (paper §III-B: logs are "truncated once checkpoint retention
+/// allows"). Nothing below the current line is ever read again — lines
+/// are monotone over a growing set of durable checkpoints — so the
+/// coordinator frees it as the line advances instead of at teardown.
+/// Also the run's tally of what was freed.
+#[derive(Default)]
+struct Reclaimer {
+    log_entries: u64,
+    determinants: u64,
+    ckpt_objects: u64,
+    /// High-water of the entries retained across all channel logs,
+    /// sampled as each reclamation begins.
+    max_log_entries_retained: u64,
+    /// Per instance: checkpoints below this index were already visited,
+    /// so each object is deleted once.
+    gc_low: BTreeMap<InstanceIdx, u64>,
+}
+
+impl Reclaimer {
+    /// Free what `line` makes garbage: channel-log entries at or below
+    /// each receiver's line watermark, determinants below each line
+    /// member's position, and the whole-snapshot objects of checkpoints
+    /// older than the line member. The `metas` themselves (and their
+    /// `ckptmeta/` objects) stay: the checkpoint graph needs indices
+    /// contiguous from 0, and a restart from the store recomputes the
+    /// line from all of them. Chunked checkpoints stay too — chunks are
+    /// shared between manifests, and that liveness rule lives in the
+    /// engine's `gc_after`. Claim journals are never cut: recovery
+    /// rebuilds the shared cursors from the whole journal.
+    fn reclaim(
+        &mut self,
+        shared: &Shared,
+        triples: &[ChannelTriple],
+        line: &BTreeMap<InstanceIdx, CheckpointId>,
+        metas: &BTreeMap<(InstanceIdx, u64), CheckpointMeta>,
+    ) {
+        let floors = reclaim_floors(line, metas, triples);
+        let mut retained = 0;
+        for (ch, seq) in &floors.channel_seq {
+            let taken = {
+                let mut log = shared.logs[ch.0 as usize].lock();
+                retained += log.retained_len() as u64;
+                log.take_below(seq + 1)
+            };
+            // The entries drop here, on this thread and with the log
+            // unlocked: neither the sender's next publish nor the
+            // teardown path pays for the frees.
+            self.log_entries += taken.len() as u64;
+        }
+        self.max_log_entries_retained = self.max_log_entries_retained.max(retained);
+        for (inst, pos) in &floors.det_pos {
+            self.determinants += shared.dets[inst.0 as usize].lock().truncate_below(*pos) as u64;
+        }
+        for (&inst, &floor) in &floors.ckpt_index {
+            let low = self.gc_low.entry(inst).or_insert(0);
+            if floor <= *low {
+                continue;
+            }
+            for (_, old) in metas.range((inst, *low)..(inst, floor)) {
+                if !old.state_key.is_empty() && shared.store.delete(&old.state_key) {
+                    self.ckpt_objects += 1;
+                }
+            }
+            *low = floor;
+        }
+    }
 }
 
 #[allow(clippy::too_many_arguments)] // the run's full wiring
@@ -340,6 +416,9 @@ fn coordinate(
     up_stats: &Arc<UploaderStats>,
 ) -> LiveReport {
     let pg = &shared.pg;
+    let triples = channel_triples(pg);
+    let mut reclaimer = Reclaimer::default();
+    let reclaims = cfg.protocol.logs_messages();
     let mut metas: BTreeMap<(InstanceIdx, u64), CheckpointMeta> = BTreeMap::new();
     for op in pg.logical().ops() {
         for i in 0..cfg.parallelism {
@@ -391,10 +470,16 @@ fn coordinate(
                 metas_dirty = true;
             }
         }
-        // The recovery line only moves when a checkpoint lands, so the
-        // pin set only needs recomputing then.
-        if metas_dirty {
-            refresh_pins(tiered, cfg.protocol, pg, &metas);
+        // The recovery line only moves when a checkpoint lands, so it is
+        // computed then, once, for both of its consumers: the pin set
+        // and reclamation. Not throttled further: reclaiming an interval
+        // late doubles the retained window.
+        if metas_dirty && (reclaims || tiered.is_some()) {
+            let line = recovery_line(cfg.protocol, &triples, &metas);
+            refresh_pins(tiered, &line, &metas);
+            if reclaims {
+                reclaimer.reclaim(shared, &triples, &line, &metas);
+            }
         }
         if cfg.protocol == ProtocolKind::Coordinated && start.elapsed() >= next_round {
             round += 1;
@@ -420,6 +505,7 @@ fn coordinate(
                 cur_epoch = recover(
                     cfg,
                     shared,
+                    &triples,
                     ctrl_tx,
                     inboxes,
                     note_rx,
@@ -523,6 +609,10 @@ fn coordinate(
         steals,
         steal_denied,
         recoveries,
+        log_entries_reclaimed: reclaimer.log_entries,
+        determinants_reclaimed: reclaimer.determinants,
+        ckpt_objects_reclaimed: reclaimer.ckpt_objects,
+        max_log_entries_retained: reclaimer.max_log_entries_retained,
         ckpts_deferred: up_stats.ckpts_deferred.load(Ordering::Relaxed),
         uploader_idle_wakeups: up_stats.idle_wakeups.load(Ordering::Relaxed),
         store: shared.store.stats(),
@@ -562,6 +652,7 @@ fn inject_due(
 fn recover(
     cfg: &LiveConfig,
     shared: &Arc<Shared>,
+    triples: &[ChannelTriple],
     ctrl_tx: &[Sender<Ctrl>],
     inboxes: &Arc<Vec<Inbox>>,
     note_rx: &Receiver<Note>,
@@ -620,7 +711,7 @@ fn recover(
         inject_due(ctrl_tx, start, plan_kills, down);
 
         // Recovery line.
-        let line = recovery_line(cfg.protocol, pg, metas);
+        let line = recovery_line(cfg.protocol, triples, metas);
         // Discard post-line metadata and the durable objects it owns
         // (the indices will be reused post-rollback; stale chunk objects
         // must not linger under the same keys).
@@ -638,7 +729,7 @@ fn recover(
         // compactor (still running in the uploader thread) gets another
         // pass, so restore GETs below read cold objects only when the
         // line genuinely lives there.
-        refresh_pins(tiered, cfg.protocol, pg, metas);
+        refresh_pins(tiered, &line, metas);
 
         // Restore every worker. Workers arm their determinant-ordered
         // replay themselves from the shared logs (`meta.det_pos()`

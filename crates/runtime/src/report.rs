@@ -64,6 +64,19 @@ pub struct LiveReport {
     /// into one episode (a kill landing mid-recovery restarts the line
     /// computation instead of opening a new episode).
     pub recoveries: u64,
+    /// Channel-log entries the coordinator freed below a recovery line
+    /// while the run was going (UNC/CIC protocols only; 0 under
+    /// COOR/None, which log nothing).
+    pub log_entries_reclaimed: u64,
+    /// Determinants freed the same way.
+    pub determinants_reclaimed: u64,
+    /// Whole-snapshot checkpoint objects deleted from the store because
+    /// a newer checkpoint of their instance was on the recovery line.
+    pub ckpt_objects_reclaimed: u64,
+    /// High-water of the entries retained across all channel logs,
+    /// sampled as each reclamation begins — the live log footprint,
+    /// against the total appended.
+    pub max_log_entries_retained: u64,
     /// Checkpoints the uploader dropped because the store's bounded
     /// retry budget was exhausted mid-brownout: the checkpoint is never
     /// acked durable and recovery lines skip past it (graceful
@@ -97,6 +110,7 @@ impl LiveReport {
             "{} sink records (digest {:016x}/{}), {} ckpts ({} deferred), \
              recoveries={}, p50 {:?}, {:.0} ev/s over {:?}, inbox≤{}, \
              pending≤{}, dets={}, replayed={}, staged={}/{} flushes, \
+             reclaimed {} log entries (≤{} retained)/{} dets/{} ckpt objects, \
              steals={}(-{}), store retries {}+{}{}",
             self.sink_records,
             self.sink_digest.acc,
@@ -113,6 +127,10 @@ impl LiveReport {
             self.replayed,
             self.staged_appends,
             self.log_flushes,
+            self.log_entries_reclaimed,
+            self.max_log_entries_retained,
+            self.determinants_reclaimed,
+            self.ckpt_objects_reclaimed,
             self.steals,
             self.steal_denied,
             self.store.put_retries,

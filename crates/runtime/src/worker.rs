@@ -361,14 +361,22 @@ pub(crate) fn worker_main(
         ($inst_i:expr, $edge_i:expr, $rec:expr) => {{
             let inst_idx = instances[$inst_i].idx;
             let oe = &pg.out_edges_of(inst_idx)[$edge_i];
-            let targets: Vec<u32> = match oe.kind {
-                EdgeKind::Forward => vec![w],
-                EdgeKind::Broadcast => (0..cfg.parallelism).collect(),
+            let rec: Record = $rec;
+            let targets = match oe.kind {
+                EdgeKind::Forward => w..w + 1,
+                EdgeKind::Broadcast => 0..cfg.parallelism,
                 EdgeKind::Shuffle | EdgeKind::Feedback => {
-                    vec![shuffle_target($rec.key, cfg.parallelism)]
+                    let t = shuffle_target(rec.key, cfg.parallelism);
+                    t..t + 1
                 }
             };
+            // Every target but the last gets a clone; the last takes the
+            // record itself.
+            let last = targets.end - 1;
+            let mut rec = Some(rec);
             for j in targets {
+                let item = if j == last { rec.take() } else { rec.clone() }
+                    .expect("the record moves only into the last target");
                 let ch = oe.targets[j as usize].expect("connected");
                 let seq = instances[$inst_i].book.next_send(ch);
                 let dest = pg.channel(ch).to.0 as usize;
@@ -385,14 +393,14 @@ pub(crate) fn worker_main(
                             && b.start_seq + b.items.len() as u64 == seq
                             && b.items.len() < cfg.batch_max =>
                     {
-                        b.items.push(($rec.clone(), pb));
+                        b.items.push((item, pb));
                     }
                     _ => out_buf.push(PendingBatch {
                         dest: dest_worker,
                         channel: ch,
                         epoch,
                         start_seq: seq,
-                        items: vec![($rec.clone(), pb)],
+                        items: vec![(item, pb)],
                     }),
                 }
             }

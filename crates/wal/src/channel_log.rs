@@ -13,7 +13,7 @@
 //! reclamation, Wang et al. 1995).
 
 use checkmate_dataflow::Record;
-use std::collections::VecDeque;
+use std::collections::{vec_deque, VecDeque};
 
 /// Replay was requested from a log that only retained size accounting.
 ///
@@ -226,27 +226,44 @@ impl ChannelLog {
             .collect())
     }
 
+    /// The one cut both [`Self::take_below`] and [`Self::truncate_below`]
+    /// make in a materialized log: entries are contiguous from
+    /// `first_seq`, so the entries with `seq < below` are a prefix found
+    /// by index arithmetic and removed by one drain. Even when the log
+    /// runs empty first, the floor is remembered.
+    fn drain_below(&mut self, below: u64) -> vec_deque::Drain<'_, LogEntry> {
+        let n = (below.saturating_sub(self.first_seq) as usize).min(self.entries.len());
+        self.total_bytes -= self.entries.range(..n).map(|e| e.bytes).sum::<usize>();
+        self.first_seq = self.first_seq.max(below);
+        self.entries.drain(..n)
+    }
+
+    /// Remove the entries with `seq < below` from a materialized log and
+    /// hand them to the caller, so a holder of a shared log can release
+    /// its lock before paying for the frees.
+    pub fn take_below(&mut self, below: u64) -> Vec<LogEntry> {
+        assert!(
+            self.materialized,
+            "take_below on a sized-only log (it keeps no entries to hand back)"
+        );
+        self.drain_below(below).collect()
+    }
+
     /// Drop entries with `seq < below`. Called when checkpoint retention
     /// guarantees no recovery line can need them.
     pub fn truncate_below(&mut self, below: u64) {
         if self.materialized {
-            while let Some(front) = self.entries.front() {
-                if front.seq < below {
-                    self.total_bytes -= front.bytes;
-                    self.first_seq = front.seq + 1;
-                    self.entries.pop_front();
-                } else {
-                    break;
-                }
-            }
-        } else {
-            while self.first_seq < below {
-                let Some(bytes) = self.sizes.pop_front() else {
-                    break;
-                };
-                self.total_bytes -= bytes as usize;
-                self.first_seq += 1;
-            }
+            // Dropped in place: no intermediate vector on the engine's
+            // GC path.
+            drop(self.drain_below(below));
+            return;
+        }
+        while self.first_seq < below {
+            let Some(bytes) = self.sizes.pop_front() else {
+                break;
+            };
+            self.total_bytes -= bytes as usize;
+            self.first_seq += 1;
         }
         // Even when empty, remember the floor.
         if self.first_seq < below {

@@ -91,15 +91,14 @@ impl DeterminantLog {
             .collect()
     }
 
-    /// Drop determinants below absolute position `below`.
-    pub fn truncate_below(&mut self, below: u64) {
-        while self.first_pos < below {
-            if self.entries.pop_front().is_none() {
-                self.first_pos = below;
-                return;
-            }
-            self.first_pos += 1;
-        }
+    /// Drop determinants below absolute position `below` (index
+    /// arithmetic plus one drain; the floor is remembered even when the
+    /// log runs empty first). Returns how many were dropped.
+    pub fn truncate_below(&mut self, below: u64) -> usize {
+        let n = (below.saturating_sub(self.first_pos) as usize).min(self.entries.len());
+        self.entries.drain(..n);
+        self.first_pos = self.first_pos.max(below);
+        n
     }
 
     pub fn retained_len(&self) -> usize {

@@ -1,9 +1,11 @@
 //! Property tests for the replayable source log and the channel logs —
 //! the two substrates recovery correctness rests on.
 
+use checkmate_dataflow::graph::ChannelIdx;
 use checkmate_dataflow::{Record, Value};
-use checkmate_wal::{ChannelLog, EventStream, Schedule, SourceLog};
+use checkmate_wal::{ChannelLog, DeterminantLog, EventStream, LogEntry, Schedule, SourceLog};
 use proptest::prelude::*;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 struct HashStream {
@@ -18,6 +20,55 @@ impl EventStream for HashStream {
     fn record(&self, p: u32, o: u64) -> Record {
         let g = o * self.partitions as u64 + p as u64;
         Record::new(g ^ self.seed, Value::U64(g.wrapping_mul(self.seed | 1)), 0)
+    }
+}
+
+/// The materialized channel log as it was before `take_below`: the
+/// pop-one-at-a-time truncation loop, kept as the model the drain-based
+/// implementation is checked against.
+struct LoopLog {
+    entries: VecDeque<LogEntry>,
+    first_seq: u64,
+    total_bytes: usize,
+}
+
+impl LoopLog {
+    fn new() -> Self {
+        Self {
+            entries: VecDeque::new(),
+            first_seq: 1,
+            total_bytes: 0,
+        }
+    }
+
+    fn last_seq(&self) -> u64 {
+        self.first_seq + self.entries.len() as u64 - 1
+    }
+
+    fn append(&mut self, seq: u64, record: Record) {
+        if seq <= self.last_seq() {
+            return;
+        }
+        let bytes = record.encoded_len();
+        self.total_bytes += bytes;
+        self.entries.push_back(LogEntry { seq, record, bytes });
+    }
+
+    fn truncate_below(&mut self, below: u64) -> Vec<LogEntry> {
+        let mut dropped = Vec::new();
+        while let Some(front) = self.entries.front() {
+            if front.seq < below {
+                self.total_bytes -= front.bytes;
+                self.first_seq = front.seq + 1;
+                dropped.extend(self.entries.pop_front());
+            } else {
+                break;
+            }
+        }
+        if self.first_seq < below {
+            self.first_seq = below;
+        }
+        dropped
     }
 }
 
@@ -115,6 +166,110 @@ proptest! {
             }
             prop_assert_eq!(log.retained_len(), model.len());
             prop_assert_eq!(log.last_seq(), next_seq - 1);
+        }
+    }
+
+    /// `take_below` leaves the log exactly where the old truncation loop
+    /// did — floor, retained length and bytes, last sequence — hands back
+    /// exactly the entries the loop dropped, leaves `range` above the
+    /// floor alone, and re-appends of logged or truncated sequences stay
+    /// ignored. `truncate_below` is the same code with the entries
+    /// dropped in place.
+    #[test]
+    fn take_below_matches_the_truncation_loop(
+        ops in proptest::collection::vec((0u8..5, any::<u64>()), 1..120)
+    ) {
+        let mut log = ChannelLog::new();
+        let mut twin = ChannelLog::new(); // truncated in place
+        let mut model = LoopLog::new();
+        let mut next_seq = 1u64;
+        for (op, x) in ops {
+            match op {
+                0 | 1 => {
+                    let rec = Record::new(next_seq, Value::U64(x), 0);
+                    log.append(next_seq, rec.clone());
+                    twin.append(next_seq, rec.clone());
+                    model.append(next_seq, rec);
+                    next_seq += 1;
+                }
+                2 => {
+                    // Anywhere from below the floor to past the end (an
+                    // empty log still remembers the floor; the next
+                    // append continues from it).
+                    let below = x % (next_seq + 3);
+                    let taken = log.take_below(below);
+                    twin.truncate_below(below);
+                    prop_assert_eq!(taken, model.truncate_below(below));
+                    next_seq = next_seq.max(below);
+                }
+                3 => {
+                    // Regeneration after a rollback: a sequence already
+                    // logged or already truncated, with other contents.
+                    if next_seq > 1 {
+                        let seq = 1 + x % (next_seq - 1);
+                        let rec = Record::new(u64::MAX, Value::U64(!x), 0);
+                        log.append(seq, rec.clone());
+                        twin.append(seq, rec.clone());
+                        model.append(seq, rec);
+                    }
+                }
+                _ => {
+                    let lo = model.first_seq - 1 + x % (model.entries.len() as u64 + 1);
+                    let hi = model.last_seq();
+                    let want: Vec<&LogEntry> =
+                        model.entries.iter().filter(|e| e.seq > lo).collect();
+                    prop_assert_eq!(log.range(lo, hi).unwrap(), want.clone());
+                    prop_assert_eq!(twin.range(lo, hi).unwrap(), want);
+                }
+            }
+            for l in [&log, &twin] {
+                prop_assert_eq!(l.retained_len(), model.entries.len());
+                prop_assert_eq!(l.retained_bytes(), model.total_bytes);
+                prop_assert_eq!(l.last_seq(), model.last_seq());
+            }
+        }
+    }
+
+    /// Truncating a determinant log never changes what recovery reads:
+    /// every suffix from a position at or above the floor equals the
+    /// untruncated log's, re-deliveries below the end stay ignored, and
+    /// the reported drop count is the retained length lost.
+    #[test]
+    fn determinant_truncation_preserves_suffixes(
+        ops in proptest::collection::vec((0u8..4, any::<u64>()), 1..120)
+    ) {
+        let mut log = DeterminantLog::new();
+        let mut full = DeterminantLog::new(); // never truncated
+        let mut floor = 0u64;
+        for (op, x) in ops {
+            let end = full.end_pos();
+            match op {
+                0 | 1 => {
+                    let det = (ChannelIdx((x % 5) as u32), x / 5);
+                    log.append(end, det.0, det.1);
+                    full.append(end, det.0, det.1);
+                }
+                2 => {
+                    // Floors come from checkpointed positions: never
+                    // past the end of the log.
+                    let below = x % (end + 1);
+                    let before = log.retained_len();
+                    let dropped = log.truncate_below(below);
+                    prop_assert_eq!(dropped, before - log.retained_len());
+                    floor = floor.max(below);
+                }
+                _ => {
+                    if end > 0 {
+                        let pos = x % end;
+                        log.append(pos, ChannelIdx(99), u64::MAX);
+                        full.append(pos, ChannelIdx(99), u64::MAX);
+                    }
+                }
+            }
+            prop_assert_eq!(log.end_pos(), full.end_pos());
+            prop_assert_eq!(log.retained_len() as u64, full.end_pos() - floor);
+            let pos = floor + x % (full.end_pos() - floor + 1);
+            prop_assert_eq!(log.suffix_from(pos), full.suffix_from(pos));
         }
     }
 }
