@@ -189,10 +189,15 @@ impl HmnrState {
         m_taken: &[bool],
         m_greater: &[bool],
     ) {
-        self.pb_cache = None;
+        // The cached piggyback snapshots `lc`, `ckpt`, `taken` and
+        // `greater`; it stays valid — equal to a fresh snapshot — unless
+        // this merge changes one of them. In a pipeline deliveries and
+        // sends alternate and most deliveries carry no news.
+        let mut changed = false;
         // Clock + greater maintenance.
         match m_lc.cmp(&self.lc) {
             std::cmp::Ordering::Greater => {
+                changed = true;
                 self.lc = m_lc;
                 // We inherit the sender's view of whose clocks it exceeds.
                 self.greater.copy_from_slice(m_greater);
@@ -200,6 +205,7 @@ impl HmnrState {
                 self.greater[from] = false;
             }
             std::cmp::Ordering::Less => {
+                changed |= !self.greater[from];
                 self.greater[from] = true;
             }
             std::cmp::Ordering::Equal => {}
@@ -208,10 +214,12 @@ impl HmnrState {
         for k in 0..self.ckpt.len() {
             match m_ckpt[k].cmp(&self.ckpt[k]) {
                 std::cmp::Ordering::Greater => {
+                    changed = true;
                     self.ckpt[k] = m_ckpt[k];
                     self.taken[k] = m_taken[k];
                 }
                 std::cmp::Ordering::Equal => {
+                    changed |= m_taken[k] && !self.taken[k];
                     self.taken[k] = self.taken[k] || m_taken[k];
                 }
                 std::cmp::Ordering::Less => {}
@@ -219,7 +227,11 @@ impl HmnrState {
         }
         // The message itself is a causal path from `from`'s current
         // interval into ours.
+        changed |= !self.taken[from];
         self.taken[from] = true;
+        if changed {
+            self.pb_cache = None;
+        }
     }
 
     fn on_checkpoint(&mut self) {

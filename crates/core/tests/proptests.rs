@@ -10,10 +10,11 @@
 use checkmate_core::exec::{AbstractExec, AbstractProtocol};
 use checkmate_core::recovery::{reclaim_floors, rollback_propagation, ReclaimFloors};
 use checkmate_core::zpath;
-use checkmate_core::CheckpointMeta;
+use checkmate_core::{CheckpointMeta, CicPiggyback, CicState, HmnrPiggyback};
 use checkmate_dataflow::graph::InstanceIdx;
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 /// One step of a random execution.
 #[derive(Debug, Clone, Copy)]
@@ -320,6 +321,45 @@ proptest! {
         prop_assert_eq!(a.metas(), b.metas());
         prop_assert_eq!(a.forced_count(), b.forced_count());
         prop_assert_eq!(line_vec(&a), line_vec(&b));
+    }
+
+    /// HMNR keeps its cached piggyback across deliveries that carry no
+    /// news. Whatever the script, the piggyback `on_send` hands out
+    /// equals a snapshot built from the live fields at that moment.
+    #[test]
+    fn hmnr_cached_piggyback_equals_a_fresh_snapshot(
+        ops in proptest::collection::vec(op_strategy(4), 1..200)
+    ) {
+        let n = 4usize;
+        let mut states: Vec<CicState> = (0..n).map(|i| CicState::hmnr(i, n)).collect();
+        let mut in_flight: BTreeMap<(usize, usize), VecDeque<CicPiggyback>> = BTreeMap::new();
+        for op in ops {
+            match op {
+                Op::Send { from, to } => {
+                    let (f, t) = (from as usize % n, to as usize % n);
+                    let pb = states[f].on_send(t);
+                    let CicState::Hmnr(s) = &states[f] else { unreachable!() };
+                    let fresh = HmnrPiggyback {
+                        lc: s.lc,
+                        ckpt: s.ckpt.clone(),
+                        taken: s.taken.clone(),
+                        greater: s.greater.clone(),
+                    };
+                    prop_assert_eq!(&pb, &CicPiggyback::Hmnr(Arc::new(fresh)));
+                    in_flight.entry((f, t)).or_default().push_back(pb);
+                }
+                Op::Deliver { from, to } => {
+                    let (f, t) = (from as usize % n, to as usize % n);
+                    if let Some(pb) = in_flight.get_mut(&(f, t)).and_then(VecDeque::pop_front) {
+                        if states[t].should_force(f, &pb) {
+                            states[t].on_checkpoint();
+                        }
+                        states[t].on_deliver(f, &pb);
+                    }
+                }
+                Op::Checkpoint { p } => states[p as usize % n].on_checkpoint(),
+            }
+        }
     }
 
 }

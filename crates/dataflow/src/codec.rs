@@ -95,6 +95,15 @@ impl Enc {
     }
 }
 
+/// Continue encoding at the end of an existing buffer ([`Enc::finish`]
+/// hands it back): how append-only logs encode entry after entry into
+/// one allocation.
+impl From<Vec<u8>> for Enc {
+    fn from(buf: Vec<u8>) -> Self {
+        Self { buf }
+    }
+}
+
 /// Cursor-based decoder matching [`Enc`].
 #[derive(Debug)]
 pub struct Dec<'a> {

@@ -1259,13 +1259,14 @@ impl Engine {
             let pb = inst.cic.as_mut().map(|c| c.on_send(route.to.0 as usize));
             (seq, pb)
         };
-        // Clone the record for the log only when the log materializes
-        // payloads (a failure is scheduled, so replay can happen);
-        // sized-only logs take accounting and leave the record to the
-        // message.
-        let logged = (!self.chan_logs.is_empty()
-            && self.chan_logs[ch.0 as usize].is_materialized())
-        .then(|| rec.clone());
+        // A log that materializes payloads (a failure is scheduled, so
+        // replay can happen) encodes the record before the message takes
+        // it; sized-only logs take accounting only, below.
+        let materialized =
+            !self.chan_logs.is_empty() && self.chan_logs[ch.0 as usize].is_materialized();
+        if materialized {
+            self.chan_logs[ch.0 as usize].append_record(seq, &rec);
+        }
         let mut msg = NetMsg::data(ch, seq, rec);
         if let Some(pb) = pb {
             let wire = match self.cfg.protocol {
@@ -1277,10 +1278,8 @@ impl Engine {
         }
         let mut service = self.cfg.cost.ser_ns(msg.wire_bytes());
         if !self.chan_logs.is_empty() {
-            let bytes = msg.payload_bytes() - 8;
-            match logged {
-                Some(r) => self.chan_logs[ch.0 as usize].append_sized(seq, r, bytes),
-                None => self.chan_logs[ch.0 as usize].append_size_only(seq, bytes),
+            if !materialized {
+                self.chan_logs[ch.0 as usize].append_size_only(seq, msg.payload_bytes() - 8);
             }
             service += self.cfg.cost.log_append_ns(msg.payload_bytes());
         }
@@ -2003,10 +2002,7 @@ impl Engine {
                 // it as a structured outcome instead of unwinding.
                 let entries: Vec<(u64, Record)> = match self.chan_logs[ch.0 as usize].range(lo, hi)
                 {
-                    Ok(entries) => entries
-                        .into_iter()
-                        .map(|e| (e.seq, e.record.clone()))
-                        .collect(),
+                    Ok(entries) => entries.into_iter().map(|e| (e.seq, e.record)).collect(),
                     Err(err) => {
                         self.halted = Some(Outcome::ReplayUnavailable {
                             channel: ch.0,

@@ -372,15 +372,13 @@ impl Reclaimer {
         let floors = reclaim_floors(line, metas, triples);
         let mut retained = 0;
         for (ch, seq) in &floors.channel_seq {
-            let taken = {
-                let mut log = shared.logs[ch.0 as usize].lock();
-                retained += log.retained_len() as u64;
-                log.take_below(seq + 1)
-            };
-            // The entries drop here, on this thread and with the log
-            // unlocked: neither the sender's next publish nor the
-            // teardown path pays for the frees.
-            self.log_entries += taken.len() as u64;
+            // Moves the floor by arithmetic and frees the few segments
+            // wholly below it.
+            let mut log = shared.logs[ch.0 as usize].lock();
+            let before = log.retained_len() as u64;
+            log.truncate_below(seq + 1);
+            retained += before;
+            self.log_entries += before - log.retained_len() as u64;
         }
         self.max_log_entries_retained = self.max_log_entries_retained.max(retained);
         for (inst, pos) in &floors.det_pos {
@@ -585,11 +583,12 @@ fn coordinate(
             Err(_) => panic!("worker did not stop in time"),
         }
     }
-    latencies.sort();
-    let p50 = latencies
-        .get(latencies.len() / 2)
-        .copied()
-        .unwrap_or_default();
+    let p50 = if latencies.is_empty() {
+        Duration::default()
+    } else {
+        let mid = latencies.len() / 2;
+        *latencies.select_nth_unstable(mid).1
+    };
     let elapsed = start.elapsed();
     LiveReport {
         sink_digest: digest,
@@ -823,7 +822,7 @@ fn recover(
                 .range(lo, hi)
                 .expect("live runtime always materializes its channel logs")
                 .into_iter()
-                .map(|e| (e.record.clone(), piggyback.clone()))
+                .map(|e| (e.record, piggyback.clone()))
                 .collect();
             let dest_worker = (c.to.0 % cfg.parallelism) as usize;
             inboxes[dest_worker].force_push(Wire::DataBatch {

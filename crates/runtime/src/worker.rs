@@ -30,15 +30,22 @@
 //! reachability join with deletions) run live correctly because of this.
 //!
 //! **Staged appends.** With `buffered_logs` (the default) no shared-log
-//! mutex is taken per append: channel payloads, determinants and steal
-//! claims accumulate in worker-local [`checkmate_wal::RunStage`] arenas
-//! and publish in bulk — determinants and claims at every `flush_sends`
-//! *before* the staged wires escape (causal-logging order), channel
-//! payloads only at checkpoint boundaries (replay never reads past a
+//! mutex is taken per append: determinants and steal claims accumulate
+//! in worker-local [`checkmate_wal::RunStage`] arenas and publish in
+//! bulk at every `flush_sends` *before* the staged wires escape
+//! (causal-logging order). Channel payloads are encoded — once, from
+//! the record the wire still owns — into a per-channel
+//! [`checkmate_wal::Segment`] of a [`checkmate_wal::SegmentStage`], and
+//! a segment moves into the shared log whole at checkpoint boundaries
+//! and whenever it passes 64 KiB (replay never reads past a
 //! checkpointed sent watermark; entries lost with a crash are
-//! regenerated deterministically and deduplicated on re-publication).
-//! `buffered_logs = false` keeps the historical one-lock-per-append
-//! path as a correctness oracle.
+//! regenerated deterministically and the overlap is trimmed on
+//! re-publication). `buffered_logs = false` keeps the historical
+//! one-lock-per-batch path as a correctness oracle.
+//!
+//! **Clock.** The loop reads the wall clock once per handled wire and
+//! once per source burst into `tick`; operator contexts and sink
+//! latencies take their time from it.
 //!
 //! **Work stealing.** With `steal_sources`, source offsets come from
 //! shared per-partition claim cursors instead of the private checkpointed
@@ -68,7 +75,9 @@ use checkmate_dataflow::ops::Digest;
 use checkmate_dataflow::{
     shuffle_target, Codec, Dec, Enc, OpCtx, OpRole, Operator, PortId, Record,
 };
-use checkmate_wal::{Claim, EventStream, LogEntry, RunStage, Schedule, SourceCursor, SourceLog};
+use checkmate_wal::{
+    Claim, EventStream, RunStage, Schedule, SegmentStage, SourceCursor, SourceLog,
+};
 use crossbeam::channel::{Receiver, Sender};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -223,7 +232,7 @@ pub(crate) fn worker_main(
     // lock-free here and publish to the shared logs in bulk — see the
     // module docs for the publication-order argument. Cleared on
     // kill/restore with the rest of the volatile state.
-    let mut chan_stage: RunStage<LogEntry> = RunStage::new(shared.logs.len());
+    let mut chan_stage = SegmentStage::new(shared.logs.len());
     let mut det_stage: RunStage<(ChannelIdx, u64)> = RunStage::new(shared.dets.len());
     let mut claim_stage: RunStage<Claim> = RunStage::new(shared.claims.len());
     let mut staged_appends = 0u64;
@@ -246,6 +255,12 @@ pub(crate) fn worker_main(
     let quiet_bit = 1u64 << w;
 
     let now_ns = |start: &Instant| start.elapsed().as_nanos() as u64;
+    // The loop's clock: read once per handled wire and once per source
+    // burst, not per record (see the module docs).
+    let mut tick = now_ns(&start);
+    // One operator context for every invocation; its output buffer is
+    // handed back after routing.
+    let mut ctx = OpCtx::new(tick);
 
     // Outbound sends staged between flush points: consecutive sends on a
     // channel coalesce into one wire, and the channel-log appends of a
@@ -306,19 +321,17 @@ pub(crate) fn worker_main(
         }};
     }
 
-    // Publish staged channel payloads. Only needed at checkpoint
+    // Publish the staged channel segments. Only needed at checkpoint
     // boundaries: replay reads a channel log no further than the
     // sender's checkpointed sent watermark, so entries staged since the
     // last checkpoint are never requested — if they die with a crash,
     // the rolled-back sender regenerates them (same seqs, same records)
-    // and re-publication deduplicates.
+    // and re-publication trims the overlap.
     macro_rules! publish_channel_stage {
         () => {{
             if !chan_stage.is_empty() {
-                chan_stage.publish_into(|ch, _start, items| {
-                    shared.logs[ch as usize]
-                        .lock()
-                        .append_entries(items.drain(..));
+                chan_stage.publish_into(|ch, seg| {
+                    shared.logs[ch as usize].lock().publish(seg);
                 });
                 log_flushes += 1;
             }
@@ -332,18 +345,23 @@ pub(crate) fn worker_main(
             }
             for batch in out_buf.drain(..) {
                 if cfg.protocol.logs_messages() {
+                    let ch = batch.channel.0;
                     if cfg.buffered_logs {
+                        let mut full = false;
                         for (i, (rec, _)) in batch.items.iter().enumerate() {
-                            let seq = batch.start_seq + i as u64;
-                            let record = rec.clone();
-                            let bytes = record.encoded_len();
-                            chan_stage.stage(batch.channel.0, seq, LogEntry { seq, record, bytes });
+                            full = chan_stage.stage(ch, batch.start_seq + i as u64, rec);
                         }
                         staged_appends += batch.items.len() as u64;
+                        if full {
+                            // Bounds what a worker stages between
+                            // checkpoints; safe for the reason above.
+                            shared.logs[ch as usize].lock().publish(chan_stage.take(ch));
+                            log_flushes += 1;
+                        }
                     } else {
-                        let mut log = shared.logs[batch.channel.0 as usize].lock();
+                        let mut log = shared.logs[ch as usize].lock();
                         for (i, (rec, _)) in batch.items.iter().enumerate() {
-                            log.append(batch.start_seq + i as u64, rec.clone());
+                            log.append_record(batch.start_seq + i as u64, rec);
                         }
                     }
                 }
@@ -395,13 +413,17 @@ pub(crate) fn worker_main(
                     {
                         b.items.push((item, pb));
                     }
-                    _ => out_buf.push(PendingBatch {
-                        dest: dest_worker,
-                        channel: ch,
-                        epoch,
-                        start_seq: seq,
-                        items: vec![(item, pb)],
-                    }),
+                    _ => {
+                        let mut items = Vec::with_capacity(cfg.batch_max.min(64));
+                        items.push((item, pb));
+                        out_buf.push(PendingBatch {
+                            dest: dest_worker,
+                            channel: ch,
+                            epoch,
+                            start_seq: seq,
+                            items,
+                        });
+                    }
                 }
             }
         }};
@@ -409,12 +431,13 @@ pub(crate) fn worker_main(
 
     macro_rules! run_and_route {
         ($inst_i:expr, $port:expr, $rec:expr) => {{
-            let mut ctx = OpCtx::new(now_ns(&start));
+            ctx.now = tick;
             instances[$inst_i].op.on_record($port, $rec, &mut ctx);
-            let (outputs, _timers) = ctx.take();
-            for (edge_i, out) in outputs {
+            let (mut outputs, _timers) = ctx.take();
+            for (edge_i, out) in outputs.drain(..) {
                 route!($inst_i, edge_i, out);
             }
+            ctx.put_back_outputs(outputs);
         }};
     }
 
@@ -561,7 +584,7 @@ pub(crate) fn worker_main(
             let is_sink = matches!(pg.logical().ops()[op_i].role, OpRole::Sink);
             if is_sink {
                 sink_records += 1;
-                let lat = now_ns(&start).saturating_sub(record.ingest_time);
+                let lat = tick.saturating_sub(record.ingest_time);
                 latencies.push(Duration::from_nanos(lat));
             }
             events += 1;
@@ -866,6 +889,7 @@ pub(crate) fn worker_main(
             };
             any = true;
             budget -= 1;
+            tick = now_ns(&start);
             handle_wire!(wire);
         }
 
@@ -879,6 +903,7 @@ pub(crate) fn worker_main(
         // this worker's own inbox is over capacity (self-sends would
         // balloon it past the bound).
         let now = now_ns(&start);
+        tick = now;
         // Strict sequential admission (oracle mode): nothing may be in
         // flight locally before the next record enters, and only one
         // enters per iteration — its cascade flushes and drains first.

@@ -185,6 +185,71 @@ fn kills_after_reclamation_stay_exactly_once() {
     }
 }
 
+/// [`TestStream`] with 2 KiB payloads: at 2 000 records/s per partition
+/// each source → counter channel carries ≈ 2 MB/s, so its staged
+/// segment passes the 64 KiB seal and publishes about every 30 ms.
+struct BulkyStream;
+
+impl EventStream for BulkyStream {
+    fn partitions(&self) -> u32 {
+        PARALLELISM
+    }
+    fn record(&self, partition: u32, offset: u64) -> Record {
+        let g = offset * PARALLELISM as u64 + partition as u64;
+        Record::new(g % 37, Value::str(format!("{g:02048}")), 0)
+    }
+}
+
+/// With checkpoints 250 ms apart, a kill at 400 ms lands after several
+/// early-published segments and before the next checkpoint: the shared
+/// logs hold entries past every checkpointed sent watermark, the
+/// rolled-back senders regenerate them, and their re-publication
+/// overlaps what is logged. Replay and the trim must still add up to
+/// exactly-once.
+#[test]
+fn kill_between_an_early_sealed_segment_and_the_next_checkpoint() {
+    let run = |protocol, storm| {
+        run_live(
+            &counting_graph(),
+            vec![Arc::new(BulkyStream)],
+            LiveConfig {
+                parallelism: PARALLELISM,
+                protocol,
+                rate_per_partition: 2_000.0,
+                records_per_partition: 2_000,
+                checkpoint_interval: Duration::from_millis(250),
+                storm,
+                timeout: Duration::from_secs(60),
+                ..LiveConfig::default()
+            },
+        )
+    };
+    for protocol in LOGGING {
+        let clean = run(protocol, None);
+        let killed = run(
+            protocol,
+            Some(FaultPlan {
+                seed: 0,
+                kills: vec![KillEvent {
+                    at_ns: 400 * MS,
+                    worker: 0,
+                }],
+                stragglers: Vec::new(),
+                brownouts: Vec::new(),
+            }),
+        );
+        assert_eq!(
+            killed.sink_digest,
+            clean.sink_digest,
+            "{protocol}: exactly-once violated\nclean:  {}\nkilled: {}",
+            clean.summary(),
+            killed.summary()
+        );
+        assert_eq!(killed.recoveries, 1, "{protocol}: {}", killed.summary());
+        assert!(killed.replayed > 0, "{protocol}: {}", killed.summary());
+    }
+}
+
 #[test]
 fn protocols_without_logs_reclaim_nothing() {
     for protocol in [ProtocolKind::None, ProtocolKind::Coordinated] {

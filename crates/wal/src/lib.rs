@@ -8,12 +8,14 @@
 //!   back to it on recovery.
 //! - [`channel_log::ChannelLog`] — sender-side in-flight message logs
 //!   (upstream backup) required by the uncoordinated and
-//!   communication-induced protocols to capture channel state.
+//!   communication-induced protocols to capture channel state: chains
+//!   of encode-once byte [`channel_log::Segment`]s.
 //! - [`determinant::DeterminantLog`] — receiver-side delivery-order
 //!   logs, the determinants that make log-based replay deterministic
 //!   for operators whose output depends on cross-channel arrival order.
-//! - [`staging::RunStage`] / [`staging::ClaimLog`] — sender-local
-//!   staging arenas that keep the shared-log mutexes off the hot path,
+//! - [`staging::RunStage`] / [`staging::SegmentStage`] /
+//!   [`staging::ClaimLog`] — sender-local staging arenas that keep the
+//!   shared-log mutexes off the hot path (payloads stage as segments),
 //!   and the per-instance journal of claimed source-offset runs that
 //!   makes work-stealing source dispatch recoverable.
 
@@ -22,7 +24,7 @@ pub mod determinant;
 pub mod source;
 pub mod staging;
 
-pub use channel_log::{ChannelLog, LogEntry, ReplayUnavailable};
+pub use channel_log::{ChannelLog, LogEntry, ReplayUnavailable, Segment, SEAL_BYTES};
 pub use determinant::{DeterminantLog, DET_ENTRY_BYTES};
 pub use source::{EventStream, Schedule, SourceCursor, SourceEntry, SourceLog};
-pub use staging::{Claim, ClaimLog, RunStage};
+pub use staging::{Claim, ClaimLog, RunStage, SegmentStage};

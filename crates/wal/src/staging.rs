@@ -13,7 +13,10 @@
 //! append runs, one lane per log, accumulated lock-free and published to
 //! the shared logs in bulk at the flush boundaries the wire protocol
 //! already enforces (`wire.rs`: flush before any marker leaves, flush
-//! before every checkpoint capture). Publication order carries the
+//! before every checkpoint capture). [`SegmentStage`] is its sibling for
+//! channel payloads: one open [`Segment`] per channel that each send is
+//! *encoded* into — once, by reference — and that is handed to the
+//! shared [`crate::ChannelLog`] whole. Publication order carries the
 //! correctness argument:
 //!
 //! * **determinants and claims publish before any staged wire leaves the
@@ -28,7 +31,12 @@
 //!   checkpoints the payloads may stay staged: a crash loses them
 //!   together with the worker's in-memory state, and the rolled-back
 //!   sender regenerates them deterministically (same sequences, same
-//!   records — receivers dedup by sequence).
+//!   records — receivers dedup by sequence). A channel's segment also
+//!   publishes as soon as it passes [`SEAL_BYTES`], which bounds what a
+//!   worker stages and is safe for the same reason: replay never reads
+//!   a log past a checkpointed sent watermark, and the regenerated
+//!   sends arrive as a segment overlapping what is logged, which the
+//!   log trims.
 //!
 //! Staged runs are discarded on kill/restore exactly like the rest of a
 //! worker's volatile state; the shared logs' idempotent append paths
@@ -41,6 +49,8 @@
 //! "explicit checkpointed-cursor handoff" that makes stolen partitions
 //! recover exactly-once (see `runtime::dispatch`).
 
+use crate::channel_log::{Segment, SEAL_BYTES};
+use checkmate_dataflow::Record;
 use std::collections::VecDeque;
 
 /// A worker-local arena of contiguous append runs, one lane per shared
@@ -115,6 +125,64 @@ impl<T> RunStage<T> {
             self.lanes[lane as usize].1.clear();
         }
         self.staged = 0;
+    }
+}
+
+/// Worker-local staging of channel payloads: one open [`Segment`] per
+/// channel. `stage` encodes the record into the channel's segment — no
+/// lock, no clone of the record — and publication moves whole segments
+/// into the shared logs.
+#[derive(Debug)]
+pub struct SegmentStage {
+    lanes: Vec<Segment>,
+    /// Lanes whose segment holds entries.
+    dirty: Vec<u32>,
+}
+
+impl SegmentStage {
+    pub fn new(n_lanes: usize) -> Self {
+        Self {
+            lanes: (0..n_lanes).map(|_| Segment::default()).collect(),
+            dirty: Vec::new(),
+        }
+    }
+
+    /// Encode `record` as entry `seq` of `lane`'s open segment.
+    /// Sequences within a lane's segment are contiguous (the segment
+    /// panics otherwise) — every rebuild of the send counters
+    /// (kill/restore) clears the stage first. Returns `true` once the
+    /// segment has passed [`SEAL_BYTES`] and should be [`Self::take`]n.
+    pub fn stage(&mut self, lane: u32, seq: u64, record: &Record) -> bool {
+        let seg = &mut self.lanes[lane as usize];
+        if seg.is_empty() {
+            self.dirty.push(lane);
+        }
+        seg.push(seq, record);
+        seg.byte_len() >= SEAL_BYTES
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.dirty.is_empty()
+    }
+
+    /// Take `lane`'s segment for publication; the lane restarts empty.
+    pub fn take(&mut self, lane: u32) -> Segment {
+        self.dirty.retain(|&l| l != lane);
+        std::mem::take(&mut self.lanes[lane as usize])
+    }
+
+    /// Hand every non-empty segment to `sink` as `(lane, segment)`.
+    pub fn publish_into(&mut self, mut sink: impl FnMut(u32, Segment)) {
+        for lane in self.dirty.drain(..) {
+            sink(lane, std::mem::take(&mut self.lanes[lane as usize]));
+        }
+    }
+
+    /// Discard everything staged (worker kill/restore).
+    pub fn clear(&mut self) {
+        for lane in self.dirty.drain(..) {
+            self.lanes[lane as usize].clear();
+        }
     }
 }
 
@@ -277,10 +345,40 @@ mod tests {
     fn staged_gap_is_a_bug() {
         let mut s: RunStage<u8> = RunStage::new(1);
         s.stage(0, 0, 1);
-        s.stage(0, 2, 2);
-        if !cfg!(debug_assertions) {
-            panic!("staged run gap"); // release builds skip the check
+        s.stage(0, 2, 2); // release builds skip the check and return
+    }
+
+    #[test]
+    fn segment_stage_fills_takes_and_clears() {
+        use crate::{ChannelLog, SEAL_BYTES};
+        use checkmate_dataflow::{Record, Value};
+        let rec = Record::new(7, Value::str("x".repeat(1_000)), 0);
+        let mut logs = [ChannelLog::new(), ChannelLog::new()];
+        let mut s = SegmentStage::new(2);
+        assert!(s.is_empty());
+        s.stage(0, 1, &rec);
+        // Lane 1 fills to the seal threshold and publishes early.
+        let mut seq = 0;
+        loop {
+            seq += 1;
+            if s.stage(1, seq, &rec) {
+                break;
+            }
         }
+        assert_eq!(seq as usize, SEAL_BYTES.div_ceil(rec.encoded_len()));
+        assert_eq!(logs[1].publish(s.take(1)), seq);
+        s.stage(1, seq + 1, &rec);
+        s.publish_into(|lane, seg| {
+            logs[lane as usize].publish(seg);
+        });
+        assert!(s.is_empty());
+        assert_eq!((logs[0].last_seq(), logs[1].last_seq()), (1, seq + 1));
+        // Cleared lanes restart anywhere (rollback).
+        s.stage(0, 9, &rec);
+        s.clear();
+        assert!(s.is_empty());
+        s.stage(0, 2, &rec);
+        s.publish_into(|_, seg| assert_eq!(logs[0].publish(seg), 1));
     }
 
     fn c(partition: u32, start: u64, len: u32) -> Claim {

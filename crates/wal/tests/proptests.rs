@@ -3,7 +3,9 @@
 
 use checkmate_dataflow::graph::ChannelIdx;
 use checkmate_dataflow::{Record, Value};
-use checkmate_wal::{ChannelLog, DeterminantLog, EventStream, LogEntry, Schedule, SourceLog};
+use checkmate_wal::{
+    ChannelLog, DeterminantLog, EventStream, LogEntry, Schedule, Segment, SourceLog,
+};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -23,16 +25,16 @@ impl EventStream for HashStream {
     }
 }
 
-/// The materialized channel log as it was before `take_below`: the
-/// pop-one-at-a-time truncation loop, kept as the model the drain-based
-/// implementation is checked against.
-struct LoopLog {
+/// The channel log as it was before byte segments — a `VecDeque` of
+/// owned entries truncated one pop at a time — kept as the oracle the
+/// segment log is checked against.
+struct EntryLog {
     entries: VecDeque<LogEntry>,
     first_seq: u64,
     total_bytes: usize,
 }
 
-impl LoopLog {
+impl EntryLog {
     fn new() -> Self {
         Self {
             entries: VecDeque::new(),
@@ -45,22 +47,23 @@ impl LoopLog {
         self.first_seq + self.entries.len() as u64 - 1
     }
 
+    /// Re-sends are ignored; the caller checks gaps (they panic).
     fn append(&mut self, seq: u64, record: Record) {
         if seq <= self.last_seq() {
             return;
         }
+        assert_eq!(seq, self.last_seq() + 1, "the script appended past a gap");
         let bytes = record.encoded_len();
         self.total_bytes += bytes;
         self.entries.push_back(LogEntry { seq, record, bytes });
     }
 
-    fn truncate_below(&mut self, below: u64) -> Vec<LogEntry> {
-        let mut dropped = Vec::new();
+    fn truncate_below(&mut self, below: u64) {
         while let Some(front) = self.entries.front() {
             if front.seq < below {
                 self.total_bytes -= front.bytes;
                 self.first_seq = front.seq + 1;
-                dropped.extend(self.entries.pop_front());
+                self.entries.pop_front();
             } else {
                 break;
             }
@@ -68,8 +71,30 @@ impl LoopLog {
         if self.first_seq < below {
             self.first_seq = below;
         }
-        dropped
     }
+
+    fn range(&self, lo: u64, hi: u64) -> Vec<LogEntry> {
+        self.entries
+            .iter()
+            .filter(|e| e.seq > lo && e.seq <= hi)
+            .cloned()
+            .collect()
+    }
+}
+
+/// Payloads of several encoded sizes, so segments seal after varying
+/// entry counts.
+fn payload(seq: u64, x: u64) -> Record {
+    let value = match x % 3 {
+        0 => Value::U64(x),
+        1 => Value::str("s".repeat((x % 41) as usize)),
+        _ => Value::tuple(vec![Value::U64(x), Value::Unit]),
+    };
+    Record::new(seq, value, x)
+}
+
+fn panics(f: impl FnOnce()) -> bool {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err()
 }
 
 proptest! {
@@ -169,64 +194,96 @@ proptest! {
         }
     }
 
-    /// `take_below` leaves the log exactly where the old truncation loop
-    /// did — floor, retained length and bytes, last sequence — hands back
-    /// exactly the entries the loop dropped, leaves `range` above the
-    /// floor alone, and re-appends of logged or truncated sequences stay
-    /// ignored. `truncate_below` is the same code with the entries
-    /// dropped in place.
+    /// The segment log is indistinguishable from the entry log it
+    /// replaced: under random scripts of `append`, `append_entries`,
+    /// segment publication (wholly below, overlapping and abutting
+    /// `last_seq`), re-sends and `truncate_below` (inside a segment, on a
+    /// boundary, past the end) — with segments sealing at 64 B so a few
+    /// entries fill one — `range`, `range_bytes`, `retained_len`,
+    /// `retained_bytes`, `last_seq` and both panics agree at every step.
     #[test]
-    fn take_below_matches_the_truncation_loop(
-        ops in proptest::collection::vec((0u8..5, any::<u64>()), 1..120)
+    fn segment_log_matches_the_entry_log(
+        ops in proptest::collection::vec((0u8..8, any::<u64>()), 1..120)
     ) {
-        let mut log = ChannelLog::new();
-        let mut twin = ChannelLog::new(); // truncated in place
-        let mut model = LoopLog::new();
-        let mut next_seq = 1u64;
+        let mut log = ChannelLog::with_seal_bytes(64);
+        let mut model = EntryLog::new();
         for (op, x) in ops {
+            let next = model.last_seq() + 1;
             match op {
-                0 | 1 => {
-                    let rec = Record::new(next_seq, Value::U64(x), 0);
-                    log.append(next_seq, rec.clone());
-                    twin.append(next_seq, rec.clone());
-                    model.append(next_seq, rec);
-                    next_seq += 1;
+                0 => {
+                    log.append(next, payload(next, x));
+                    model.append(next, payload(next, x));
                 }
-                2 => {
+                1 => {
+                    let run: Vec<LogEntry> = (next..next + 1 + x % 5)
+                        .map(|seq| {
+                            let record = payload(seq, x ^ seq);
+                            let bytes = record.encoded_len();
+                            LogEntry { seq, record, bytes }
+                        })
+                        .collect();
+                    prop_assert_eq!(log.append_entries(run.clone()), run.len() as u64);
+                    for e in run {
+                        model.append(e.seq, e.record);
+                    }
+                }
+                2 | 3 => {
+                    // A sender's segment: from up to 6 below `next` (a
+                    // re-publication after a rollback, regenerated with
+                    // other contents so a trim that kept the wrong copy
+                    // shows) up to `next` itself, 0..8 entries long.
+                    let first = next - (x % 7).min(next - 1);
+                    let len = x / 7 % 8;
+                    let mut seg = Segment::default();
+                    for seq in first..first + len {
+                        seg.push(seq, &payload(seq, !x ^ seq));
+                    }
+                    let fresh = (first + len).saturating_sub(next);
+                    prop_assert_eq!(log.publish(seg), fresh);
+                    for seq in first..first + len {
+                        model.append(seq, payload(seq, !x ^ seq));
+                    }
+                }
+                4 => {
                     // Anywhere from below the floor to past the end (an
                     // empty log still remembers the floor; the next
                     // append continues from it).
-                    let below = x % (next_seq + 3);
-                    let taken = log.take_below(below);
-                    twin.truncate_below(below);
-                    prop_assert_eq!(taken, model.truncate_below(below));
-                    next_seq = next_seq.max(below);
+                    let below = x % (next + 3);
+                    log.truncate_below(below);
+                    model.truncate_below(below);
                 }
-                3 => {
-                    // Regeneration after a rollback: a sequence already
-                    // logged or already truncated, with other contents.
-                    if next_seq > 1 {
-                        let seq = 1 + x % (next_seq - 1);
-                        let rec = Record::new(u64::MAX, Value::U64(!x), 0);
-                        log.append(seq, rec.clone());
-                        twin.append(seq, rec.clone());
-                        model.append(seq, rec);
+                // Regeneration after a rollback: a sequence already
+                // logged or already truncated, with other contents.
+                5 if next > 1 => {
+                    let seq = 1 + x % (next - 1);
+                    log.append(seq, payload(u64::MAX, !x));
+                    model.append(seq, payload(u64::MAX, !x));
+                }
+                6 => {
+                    // Both panics, neither of which may change the log.
+                    let gap = next + 1 + x % 3;
+                    prop_assert!(panics(|| log.append(gap, payload(gap, x))));
+                    let mut seg = Segment::default();
+                    seg.push(gap, &payload(gap, x));
+                    prop_assert!(panics(|| { log.publish(seg); }));
+                    if model.first_seq > 1 {
+                        let lo = x % (model.first_seq - 1);
+                        prop_assert!(panics(|| { let _ = log.range(lo, next); }));
+                        prop_assert!(panics(|| { log.range_bytes(lo, next); }));
                     }
                 }
-                _ => {
-                    let lo = model.first_seq - 1 + x % (model.entries.len() as u64 + 1);
-                    let hi = model.last_seq();
-                    let want: Vec<&LogEntry> =
-                        model.entries.iter().filter(|e| e.seq > lo).collect();
-                    prop_assert_eq!(log.range(lo, hi).unwrap(), want.clone());
-                    prop_assert_eq!(twin.range(lo, hi).unwrap(), want);
-                }
+                _ => {}
             }
-            for l in [&log, &twin] {
-                prop_assert_eq!(l.retained_len(), model.entries.len());
-                prop_assert_eq!(l.retained_bytes(), model.total_bytes);
-                prop_assert_eq!(l.last_seq(), model.last_seq());
-            }
+            prop_assert_eq!(log.retained_len(), model.entries.len());
+            prop_assert_eq!(log.retained_bytes(), model.total_bytes);
+            prop_assert_eq!(log.last_seq(), model.last_seq());
+            // A replay window anywhere in the retained part, reaching to
+            // or past the end.
+            let lo = model.first_seq - 1 + x % (model.entries.len() as u64 + 1);
+            let hi = lo + x % (model.last_seq() + 2 - lo);
+            let want = model.range(lo, hi);
+            prop_assert_eq!(log.range_bytes(lo, hi), want.iter().map(|e| e.bytes).sum::<usize>());
+            prop_assert_eq!(log.range(lo, hi).unwrap(), want);
         }
     }
 
