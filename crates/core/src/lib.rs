@@ -11,9 +11,11 @@
 //!   protocol is these pieces plus a local timer owned by the engine);
 //! - [`ckpt_graph`] — the checkpoint dependency graph built from
 //!   watermarks;
-//! - [`recovery`] — rollback propagation (paper Algorithm 1), the
-//!   coordinated recovery line, and the reclamation floors a line
-//!   implies;
+//! - [`recovery`] — the single home of the recovery-line rule both
+//!   planes call: the line per protocol (rollback propagation, paper
+//!   Algorithm 1, or the coordinated round line), the store objects it
+//!   pins, the in-flight ranges it replays, the checkpoints it discards,
+//!   and the reclamation floors it implies;
 //! - [`snapshot`] — incremental (content-defined-chunked) snapshot
 //!   manifests: planning, reassembly, and the store key conventions;
 //! - [`durable`] — checkpoint I/O over the pluggable storage subsystem
@@ -51,7 +53,8 @@ pub use fault::{BrownoutWindow, FaultPlan, KillEvent, StragglerWindow};
 pub use meta::{ChannelBook, CheckpointId, CheckpointKind, CheckpointMeta};
 pub use protocol::ProtocolKind;
 pub use recovery::{
-    coordinated_line, reclaim_floors, rollback_propagation, ReclaimFloors, RecoveryOutcome,
+    channel_triples, coordinated_line, discard_after_line, line_pins, reclaim_floors,
+    recovery_line, replay_range, rollback_propagation, Metas, ReclaimFloors, RecoveryOutcome,
 };
 pub use snapshot::{
     assemble, plan_snapshot, split_chunks, ChunkRef, ChunkerConfig, IncrementalPolicy,

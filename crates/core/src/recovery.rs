@@ -1,17 +1,141 @@
-//! Recovery-line computation.
+//! Recovery-line computation — the one home of the recovery-line rule
+//! for both execution planes (the virtual-time engine and the live
+//! runtime call these and keep no copy of their own).
 //!
+//! - [`recovery_line`] — the line a failure right now rolls back to,
+//!   per protocol family, over the durable [`Metas`];
 //! - [`rollback_propagation`] — the paper's Algorithm 1 over the
 //!   checkpoint graph, used by the uncoordinated and communication-induced
 //!   protocols;
 //! - [`coordinated_line`] — the trivial recovery line of the coordinated
 //!   protocol: the latest round completed by every instance;
+//! - [`line_pins`], [`replay_range`], [`discard_after_line`] — what a
+//!   line reads from the store, replays from the channel logs, and
+//!   invalidates;
 //! - [`reclaim_floors`] — what a recovery line makes garbage: the
 //!   channel-log entries, determinants and checkpoints below it.
 
 use crate::ckpt_graph::{ChannelTriple, CheckpointGraph};
 use crate::meta::{CheckpointId, CheckpointMeta};
-use checkmate_dataflow::graph::{ChannelIdx, InstanceIdx};
+use crate::protocol::ProtocolKind;
+use crate::snapshot;
+use checkmate_dataflow::graph::{ChannelIdx, InstanceIdx, PhysicalGraph};
 use std::collections::{BTreeMap, BTreeSet};
+
+/// Durable checkpoint metadata keyed by `(instance, index)` — the map
+/// both planes' coordinators keep.
+pub type Metas = BTreeMap<(InstanceIdx, u64), CheckpointMeta>;
+
+/// A recovery line: one checkpoint per instance.
+type Line = BTreeMap<InstanceIdx, CheckpointId>;
+
+/// The physical channels' endpoints, in the form the checkpoint graph,
+/// [`replay_range`] and [`reclaim_floors`] take them.
+pub fn channel_triples(pg: &PhysicalGraph) -> Vec<ChannelTriple> {
+    pg.channels()
+        .iter()
+        .map(|c| ChannelTriple {
+            ch: c.idx,
+            from: c.from,
+            to: c.to,
+        })
+        .collect()
+}
+
+/// The recovery line a failure right now rolls back to — the rule
+/// behind restore, pinning and reclamation alike, so eviction protects
+/// and reclamation spares exactly what a recovery would read.
+///
+/// - COOR / NONE: [`coordinated_line`] over the round checkpoints; the
+///   outcome rolls past nothing.
+/// - UNC / CIC: [`rollback_propagation`] over each instance's *dense
+///   prefix*. A checkpoint the live uploader deferred (bounded retries
+///   exhausted mid-brownout) is never acked durable, so an index
+///   sequence may have holes; the checkpoint graph needs per-instance
+///   contiguity from 0. Recovery discards post-line metadata
+///   ([`discard_after_line`]) and instances re-mint indices from the
+///   line, so holes never accumulate across episodes.
+pub fn recovery_line(
+    protocol: ProtocolKind,
+    metas: &Metas,
+    channels: &[ChannelTriple],
+) -> RecoveryOutcome {
+    if !protocol.independent_checkpoints() {
+        let rounds: Vec<CheckpointMeta> = metas
+            .values()
+            .filter(|m| m.kind.round().is_some())
+            .cloned()
+            .collect();
+        return RecoveryOutcome {
+            line: coordinated_line(&rounds),
+            rolled_past: Vec::new(),
+            iterations: 1,
+        };
+    }
+    let mut next: BTreeMap<InstanceIdx, u64> = BTreeMap::new();
+    let dense: Vec<CheckpointMeta> = metas
+        .iter()
+        .filter(|((inst, idx), _)| {
+            let e = next.entry(*inst).or_insert(0);
+            if *idx != *e {
+                return false;
+            }
+            *e += 1;
+            true
+        })
+        .map(|(_, m)| m.clone())
+        .collect();
+    rollback_propagation(&CheckpointGraph::build(dense, channels))
+}
+
+/// Every store object `line` can read: each member's whole-state key
+/// and all chunks its manifest references. The tiered store's pin set —
+/// the compactor never demotes what a failure right now would fetch.
+pub fn line_pins(line: &Line, metas: &Metas) -> BTreeSet<String> {
+    let mut pins = BTreeSet::new();
+    for &inst in line.keys() {
+        let meta = member(line, metas, inst);
+        if !meta.state_key.is_empty() {
+            pins.insert(meta.state_key.clone());
+        }
+        if let Some(man) = &meta.manifest {
+            pins.extend(
+                man.chunks
+                    .iter()
+                    .map(|c| snapshot::chunk_key(inst, c.owner, c.slot)),
+            );
+        }
+    }
+    pins
+}
+
+/// The in-flight range `(lo, hi]` recovery to `line` replays on channel
+/// `c`: what the receiver's member had not yet received of what the
+/// sender's member had sent. Empty (`hi ≤ lo`) when nothing is in
+/// flight.
+pub fn replay_range(line: &Line, metas: &Metas, c: &ChannelTriple) -> (u64, u64) {
+    (
+        member(line, metas, c.to).received_on(c.ch),
+        member(line, metas, c.from).sent_on(c.ch),
+    )
+}
+
+/// Remove the metadata recovery to `line` invalidates — every checkpoint
+/// newer than its instance's member, and any of an instance the line
+/// does not cover — and return it, in key order, so the caller can
+/// delete the durable objects (the indices are re-minted after the
+/// rollback; stale objects must not linger under the same keys).
+pub fn discard_after_line(metas: &mut Metas, line: &Line) -> Vec<CheckpointMeta> {
+    let (kept, discarded): (Metas, Metas) = std::mem::take(metas)
+        .into_iter()
+        .partition(|((inst, idx), _)| line.get(inst).is_some_and(|l| *idx <= l.index));
+    *metas = kept;
+    discarded.into_values().collect()
+}
+
+fn member<'a>(line: &Line, metas: &'a Metas, inst: InstanceIdx) -> &'a CheckpointMeta {
+    &metas[&(inst, line[&inst].index)]
+}
 
 /// The outcome of a recovery-line search.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -28,12 +152,6 @@ pub struct RecoveryOutcome {
 
 impl RecoveryOutcome {
     pub fn invalid_count(&self) -> usize {
-        self.rolled_past.len()
-    }
-
-    /// Total rollback distance in checkpoints (same as invalid count, kept
-    /// for readability at call sites).
-    pub fn rollback_distance(&self) -> usize {
         self.rolled_past.len()
     }
 }
@@ -147,18 +265,16 @@ pub struct ReclaimFloors {
 /// reclaim (checkpoint space reclamation, Wang et al. 1995). Pure: the
 /// caller owns the logs and the store, and decides which checkpoint
 /// objects below `ckpt_index` it can actually delete.
-pub fn reclaim_floors(
-    line: &BTreeMap<InstanceIdx, CheckpointId>,
-    metas: &BTreeMap<(InstanceIdx, u64), CheckpointMeta>,
-    channels: &[ChannelTriple],
-) -> ReclaimFloors {
-    let member = |inst: InstanceIdx| &metas[&(inst, line[&inst].index)];
+pub fn reclaim_floors(line: &Line, metas: &Metas, channels: &[ChannelTriple]) -> ReclaimFloors {
     ReclaimFloors {
         channel_seq: channels
             .iter()
-            .map(|c| (c.ch, member(c.to).received_on(c.ch)))
+            .map(|c| (c.ch, member(line, metas, c.to).received_on(c.ch)))
             .collect(),
-        det_pos: line.keys().map(|&i| (i, member(i).det_pos())).collect(),
+        det_pos: line
+            .keys()
+            .map(|&i| (i, member(line, metas, i).det_pos()))
+            .collect(),
         ckpt_index: line.iter().map(|(&i, id)| (i, id.index)).collect(),
     }
 }
@@ -292,24 +408,12 @@ mod tests {
 
     #[test]
     fn reclaim_floors_follow_the_receivers_line_members() {
-        // Line (2, 1): the receiver's member saw 4 of the 6 messages the
-        // sender's member had sent — 5 and 6 are the replay range, 1..=4
-        // are garbage, as is everything of either instance below its
-        // member.
-        let metas: BTreeMap<_, _> = [
-            meta(0, 0, &[], &[]),
-            meta(0, 1, &[(0, 3)], &[]),
-            meta(0, 2, &[(0, 6)], &[]),
-            meta(1, 0, &[], &[]),
-            meta(1, 1, &[], &[(0, 4)]),
-            meta(1, 2, &[], &[(0, 8)]),
-        ]
-        .into_iter()
-        .map(|m| ((m.id.instance, m.id.index), m))
-        .collect();
-        let channels = [ch(0, 0, 1)];
-        let g = CheckpointGraph::build(metas.values().cloned().collect(), &channels);
-        let floors = reclaim_floors(&rollback_propagation(&g).line, &metas, &channels);
+        // 5 and 6 are the replay range, 1..=4 are garbage, as is
+        // everything of either instance below its member.
+        let (metas, channels) = (sender_ahead(), [ch(0, 0, 1)]);
+        let out = recovery_line(ProtocolKind::Uncoordinated, &metas, &channels);
+        assert_eq!(out.line, line(&[(0, 2), (1, 1)]));
+        let floors = reclaim_floors(&out.line, &metas, &channels);
         assert_eq!(floors.channel_seq, [(ChannelIdx(0), 4)].into());
         assert_eq!(
             floors.det_pos,
@@ -332,16 +436,19 @@ mod tests {
         m
     }
 
-    #[test]
-    fn coordinated_line_takes_last_common_round() {
-        let metas = vec![
+    fn round_behind() -> Vec<CheckpointMeta> {
+        vec![
             coor_meta(0, 0, 0),
             coor_meta(0, 1, 1),
             coor_meta(0, 2, 2),
             coor_meta(1, 0, 0),
             coor_meta(1, 1, 1), // instance 1 hasn't completed round 2
-        ];
-        let line = coordinated_line(&metas);
+        ]
+    }
+
+    #[test]
+    fn coordinated_line_takes_last_common_round() {
+        let line = coordinated_line(&round_behind());
         assert_eq!(line[&InstanceIdx(0)].index, 1);
         assert_eq!(line[&InstanceIdx(1)].index, 1);
     }
@@ -352,5 +459,111 @@ mod tests {
         let line = coordinated_line(&metas);
         assert_eq!(line[&InstanceIdx(0)].index, 0);
         assert_eq!(line[&InstanceIdx(1)].index, 0);
+    }
+
+    fn keyed(metas: impl IntoIterator<Item = CheckpointMeta>) -> Metas {
+        metas
+            .into_iter()
+            .map(|m| ((m.id.instance, m.id.index), m))
+            .collect()
+    }
+
+    fn line(members: &[(u32, u64)]) -> Line {
+        members
+            .iter()
+            .map(|&(i, x)| (InstanceIdx(i), CheckpointId::new(InstanceIdx(i), x)))
+            .collect()
+    }
+
+    /// Line (2, 1): the receiver's member saw 4 of the 6 messages the
+    /// sender's member had sent.
+    fn sender_ahead() -> Metas {
+        keyed([
+            meta(0, 0, &[], &[]),
+            meta(0, 1, &[(0, 3)], &[]),
+            meta(0, 2, &[(0, 6)], &[]),
+            meta(1, 0, &[], &[]),
+            meta(1, 1, &[], &[(0, 4)]),
+            meta(1, 2, &[], &[(0, 8)]),
+        ])
+    }
+
+    #[test]
+    fn replay_range_reads_receiver_received_and_sender_sent() {
+        let metas = sender_ahead();
+        let l = line(&[(0, 2), (1, 1)]);
+        assert_eq!(replay_range(&l, &metas, &ch(0, 0, 1)), (4, 6));
+    }
+
+    #[test]
+    fn unc_line_over_a_deferred_hole_uses_the_dense_prefix() {
+        // Instance 0's checkpoint 2 was deferred (never durable) but 3
+        // landed: the graph would reject the gap; the line comes from
+        // indices 0..=1.
+        let metas = keyed([
+            meta(0, 0, &[], &[]),
+            meta(0, 1, &[(0, 3)], &[]),
+            meta(0, 3, &[(0, 9)], &[]),
+            meta(1, 0, &[], &[]),
+            meta(1, 1, &[], &[(0, 3)]),
+        ]);
+        let out = recovery_line(ProtocolKind::Uncoordinated, &metas, &[ch(0, 0, 1)]);
+        assert_eq!(out.line, line(&[(0, 1), (1, 1)]));
+    }
+
+    #[test]
+    fn coor_line_with_an_instance_a_round_behind_takes_the_last_common_round() {
+        let metas = keyed(round_behind());
+        let out = recovery_line(ProtocolKind::Coordinated, &metas, &[ch(0, 0, 1)]);
+        assert_eq!(out.line, line(&[(0, 1), (1, 1)]));
+        assert!(out.rolled_past.is_empty());
+    }
+
+    #[test]
+    fn discard_after_line_returns_post_line_metas_in_key_order() {
+        let mut metas = keyed((0..=3u64).map(|idx| {
+            let mut m = meta(0, idx, &[], &[]);
+            m.state_key = format!("ckpt/0/{idx}");
+            m
+        }));
+        let removed: Vec<String> = discard_after_line(&mut metas, &line(&[(0, 1)]))
+            .into_iter()
+            .map(|m| m.state_key)
+            .collect();
+        assert_eq!(removed, vec!["ckpt/0/2", "ckpt/0/3"]);
+        assert_eq!(metas.len(), 2);
+    }
+
+    #[test]
+    fn line_pins_cover_members_state_and_chunks_only() {
+        use crate::snapshot::{ChunkRef, SnapshotManifest};
+        let ckpt = |inst, index, key: &str, chunks: &[(u64, u32)]| {
+            let mut m = meta(inst, index, &[], &[]);
+            m.state_key = key.into();
+            m.manifest = (!chunks.is_empty()).then(|| SnapshotManifest {
+                total_len: 0,
+                chunks: chunks
+                    .iter()
+                    .map(|&(owner, slot)| ChunkRef {
+                        owner,
+                        slot,
+                        len: 8,
+                        hash: 0,
+                    })
+                    .collect(),
+            });
+            m
+        };
+        let metas = keyed([
+            ckpt(0, 1, "ckpt/0/1", &[]),
+            ckpt(0, 2, "ckpt/0/2", &[]),
+            ckpt(1, 1, "", &[(1, 0), (1, 1)]),
+            ckpt(1, 2, "", &[(1, 0), (2, 3)]),
+        ]);
+        let chunk = |owner, slot| snapshot::chunk_key(InstanceIdx(1), owner, slot);
+        assert_eq!(
+            line_pins(&line(&[(0, 1), (1, 2)]), &metas),
+            ["ckpt/0/1".to_string(), chunk(1, 0), chunk(2, 3)].into()
+        );
     }
 }

@@ -8,9 +8,13 @@
 //! produces a consistent, maximal recovery line.
 
 use checkmate_core::exec::{AbstractExec, AbstractProtocol};
-use checkmate_core::recovery::{reclaim_floors, rollback_propagation, ReclaimFloors};
+use checkmate_core::recovery::{
+    discard_after_line, reclaim_floors, recovery_line, rollback_propagation, Metas, ReclaimFloors,
+};
 use checkmate_core::zpath;
-use checkmate_core::{CheckpointMeta, CicPiggyback, CicState, HmnrPiggyback};
+use checkmate_core::{
+    CheckpointGraph, CheckpointMeta, CicPiggyback, CicState, HmnrPiggyback, ProtocolKind,
+};
 use checkmate_dataflow::graph::InstanceIdx;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, VecDeque};
@@ -307,6 +311,62 @@ proptest! {
             }
             prev = floors;
         }
+    }
+
+    /// The one recovery-line rule both planes call, over metadata with
+    /// deferral holes (a non-initial checkpoint that never became
+    /// durable, as the live uploader leaves mid-brownout): the line is
+    /// rollback propagation over each instance's dense prefix and is
+    /// orphan-free in the trace; `discard_after_line` leaves nothing
+    /// above it; and recomputing over the remainder returns the same
+    /// line — the live `recover` loop's second pass after a
+    /// mid-recovery kill relies on that.
+    #[test]
+    fn recovery_line_over_deferral_holes_is_the_dense_prefix_line_and_idempotent(
+        ops in proptest::collection::vec(op_strategy(4), 0..120),
+        proto in prop_oneof![
+            Just(AbstractProtocol::Uncoordinated),
+            Just(AbstractProtocol::CicHmnr),
+            Just(AbstractProtocol::CicBcs),
+        ],
+        deferred in proptest::collection::vec(0u8..4, 0..64),
+    ) {
+        let e = run(4, &ops, proto);
+        let kind = match proto {
+            AbstractProtocol::Uncoordinated => ProtocolKind::Uncoordinated,
+            AbstractProtocol::CicHmnr => ProtocolKind::CommunicationInduced,
+            AbstractProtocol::CicBcs => ProtocolKind::CommunicationInducedBcs,
+        };
+        let channels = e.channel_triples();
+        // Defer roughly a quarter of the non-initial checkpoints.
+        let metas: Metas = e
+            .metas()
+            .iter()
+            .enumerate()
+            .filter(|(k, m)| m.id.index == 0 || deferred.get(*k) != Some(&0))
+            .map(|(_, m)| ((m.id.instance, m.id.index), m.clone()))
+            .collect();
+        let dense: Vec<CheckpointMeta> = metas
+            .values()
+            .filter(|m| (0..m.id.index).all(|i| metas.contains_key(&(m.id.instance, i))))
+            .cloned()
+            .collect();
+        let out = recovery_line(kind, &metas, &channels);
+        prop_assert_eq!(&out, &rollback_propagation(&CheckpointGraph::build(dense, &channels)));
+        let line: Vec<u64> = (0..4u32).map(|p| out.line[&InstanceIdx(p)].index).collect();
+        prop_assert!(
+            zpath::is_consistent(e.trace(), &line),
+            "line {line:?} has orphans: {:?}",
+            zpath::orphans(e.trace(), &line)
+        );
+
+        let mut rest = metas.clone();
+        let discarded = discard_after_line(&mut rest, &out.line);
+        prop_assert_eq!(discarded.len() + rest.len(), metas.len());
+        for (inst, idx) in rest.keys() {
+            prop_assert!(*idx <= out.line[inst].index, "{inst:?}/{idx} survived above the line");
+        }
+        prop_assert_eq!(recovery_line(kind, &rest, &channels).line, out.line);
     }
 
     /// Abstract executions are deterministic: same ops → same trace,

@@ -16,8 +16,9 @@ use crate::workload::Workload;
 use bytes::Bytes;
 use checkmate_core::snapshot::ZeroBytes;
 use checkmate_core::{
-    coordinated_line, rollback_propagation, snapshot, ChannelTriple, CheckpointGraph, CheckpointId,
-    CheckpointKind, CheckpointMeta, CoorAligner, DurableCheckpoints, MarkerAction, ProtocolKind,
+    channel_triples, discard_after_line, line_pins, recovery_line, replay_range, snapshot,
+    CheckpointId, CheckpointKind, CheckpointMeta, CoorAligner, DurableCheckpoints, MarkerAction,
+    ProtocolKind, RecoveryOutcome,
 };
 use checkmate_dataflow::graph::{ChannelIdx, EdgeKind, InstanceIdx};
 use checkmate_dataflow::ops::Digest;
@@ -1657,6 +1658,7 @@ impl Engine {
         if stale {
             self.safe_line = self
                 .current_line()
+                .line
                 .into_iter()
                 .map(|(i, id)| (i, id.index))
                 .collect();
@@ -1665,43 +1667,13 @@ impl Engine {
         self.safe_line.get(&inst).copied().unwrap_or(0)
     }
 
-    /// The recovery line a failure *right now* would roll back to —
-    /// exactly the computation [`Engine::on_detect`] performs.
-    fn current_line(&self) -> BTreeMap<InstanceIdx, CheckpointId> {
-        match self.cfg.protocol {
-            ProtocolKind::Coordinated | ProtocolKind::None => {
-                let metas: Vec<CheckpointMeta> = self
-                    .coord
-                    .metas
-                    .values()
-                    .filter(|m| {
-                        m.kind.round().is_some_and(|r| {
-                            r == 0
-                                || self
-                                    .coord
-                                    .round_acks
-                                    .get(&r)
-                                    .is_some_and(|a| a.len() == self.pg.n_instances())
-                        })
-                    })
-                    .cloned()
-                    .collect();
-                coordinated_line(&metas)
-            }
-            _ => {
-                let triples: Vec<ChannelTriple> = self
-                    .pg
-                    .channels()
-                    .iter()
-                    .map(|c| ChannelTriple {
-                        ch: c.idx,
-                        from: c.from,
-                        to: c.to,
-                    })
-                    .collect();
-                rollback_propagation(&CheckpointGraph::build(self.coord.metas_vec(), &triples)).line
-            }
-        }
+    /// The recovery line a failure *right now* would roll back to.
+    fn current_line(&self) -> RecoveryOutcome {
+        recovery_line(
+            self.cfg.protocol,
+            &self.coord.metas,
+            &channel_triples(&self.pg),
+        )
     }
 
     // ------------------------------------------------------------------
@@ -1718,21 +1690,7 @@ impl Engine {
         let Some(backend) = self.tiered.clone() else {
             return;
         };
-        let mut pins = BTreeSet::new();
-        for (inst, id) in self.current_line() {
-            let Some(meta) = self.coord.metas.get(&(inst, id.index)) else {
-                continue;
-            };
-            if !meta.state_key.is_empty() {
-                pins.insert(meta.state_key.clone());
-            }
-            if let Some(man) = &meta.manifest {
-                for c in &man.chunks {
-                    pins.insert(snapshot::chunk_key(inst, c.owner, c.slot));
-                }
-            }
-        }
-        backend.set_pins(pins);
+        backend.set_pins(line_pins(&self.current_line().line, &self.coord.metas));
         let rep = backend.maintain();
         let io = maintenance_io_ns(&backend.tiers(), &rep);
         backend.note_io_ns(io);
@@ -1849,25 +1807,10 @@ impl Engine {
             w.running = false;
         }
         // --- recovery line ---
-        let line = match self.cfg.protocol {
-            ProtocolKind::Coordinated | ProtocolKind::None => self.current_line(),
-            _ => {
-                let triples: Vec<ChannelTriple> = self
-                    .pg
-                    .channels()
-                    .iter()
-                    .map(|c| ChannelTriple {
-                        ch: c.idx,
-                        from: c.from,
-                        to: c.to,
-                    })
-                    .collect();
-                let graph = CheckpointGraph::build(self.coord.metas_vec(), &triples);
-                let out = rollback_propagation(&graph);
-                self.coord.invalid_checkpoints = out.invalid_count() as u64;
-                out.line
-            }
-        };
+        let out = self.current_line();
+        self.coord.invalid_checkpoints = out.invalid_count() as u64;
+        let line = out.line;
+        let triples = channel_triples(&self.pg);
         // --- restart cost per worker ---
         let profile = self.store.profile();
         // A storage brownout active during recovery slows every durable
@@ -1900,14 +1843,13 @@ impl Engine {
             // transfer time for the bytes).
             if !self.chan_logs.is_empty() {
                 let mut bytes = 0usize;
-                for c in self.pg.channels() {
+                for c in &triples {
                     if self.worker_of_inst(c.from) != w {
                         continue;
                     }
-                    let lo = self.coord.metas[&(c.to, line[&c.to].index)].received_on(c.idx);
-                    let hi = self.coord.metas[&(c.from, line[&c.from].index)].sent_on(c.idx);
+                    let (lo, hi) = replay_range(&line, &self.coord.metas, c);
                     if hi > lo {
-                        bytes += self.chan_logs[c.idx.0 as usize].range_bytes(lo, hi);
+                        bytes += self.chan_logs[c.ch.0 as usize].range_bytes(lo, hi);
                     }
                 }
                 // Determinant suffixes this worker's instances replay.
@@ -1943,7 +1885,7 @@ impl Engine {
         // references only point backward — nothing at or below the line
         // can reference a discarded checkpoint's chunks.
         let durable = DurableCheckpoints::new(Arc::clone(&self.store));
-        for stale in self.coord.discard_after_line(&line) {
+        for stale in discard_after_line(&mut self.coord.metas, &line) {
             durable.delete_checkpoint(&stale);
         }
         // The cached GC floor may now be ahead of reality; recompute on
@@ -1984,15 +1926,9 @@ impl Engine {
         }
         // Replay in-flight messages from the channel logs (UNC/CIC).
         if !self.chan_logs.is_empty() {
-            let channel_metas: Vec<(ChannelIdx, InstanceIdx, InstanceIdx)> = self
-                .pg
-                .channels()
-                .iter()
-                .map(|c| (c.idx, c.from, c.to))
-                .collect();
-            for (ch, from, to) in channel_metas {
-                let lo = self.coord.metas[&(to, line[&to].index)].received_on(ch);
-                let hi = self.coord.metas[&(from, line[&from].index)].sent_on(ch);
+            for c in channel_triples(&self.pg) {
+                let ch = c.ch;
+                let (lo, hi) = replay_range(&line, &self.coord.metas, &c);
                 if hi <= lo {
                     continue;
                 }
@@ -2051,7 +1987,6 @@ impl Engine {
     fn restore_instance(&mut self, w: usize, op_i: usize, meta: &CheckpointMeta) {
         let protocol = self.cfg.protocol;
         let n_inst = self.pg.n_instances();
-        let parallelism = self.cfg.parallelism;
         let state = DurableCheckpoints::new(Arc::clone(&self.store)).read_state(meta);
         let (in_channels, factory, role) = {
             let inst = &self.workers[w].instances[op_i];
@@ -2089,7 +2024,6 @@ impl Engine {
             aligner.reset_to_round(meta.kind.round().expect("COOR line is per-round"));
             inst.aligner = Some(aligner);
         }
-        let _ = parallelism;
     }
 
     // ------------------------------------------------------------------

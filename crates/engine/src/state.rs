@@ -3,8 +3,7 @@
 
 use crate::msg::NetMsg;
 use checkmate_core::{
-    ChannelBook, CheckpointId, CheckpointMeta, CicState, CoorAligner, ProtocolKind,
-    SnapshotManifest,
+    ChannelBook, CheckpointMeta, CicState, CoorAligner, ProtocolKind, SnapshotManifest,
 };
 use checkmate_dataflow::graph::{ChannelIdx, InstanceIdx};
 use checkmate_dataflow::{Codec, Dec, Enc, OpId, Operator, PhysicalGraph};
@@ -575,44 +574,6 @@ impl Coordinator {
             invalid_checkpoints: 0,
         }
     }
-
-    /// All metas as a vector (checkpoint-graph input).
-    pub fn metas_vec(&self) -> Vec<CheckpointMeta> {
-        self.metas.values().cloned().collect()
-    }
-
-    /// Latest checkpoint index per instance.
-    pub fn latest_index(&self, inst: InstanceIdx) -> u64 {
-        self.metas
-            .range((inst, 0)..=(inst, u64::MAX))
-            .next_back()
-            .map(|((_, i), _)| *i)
-            .unwrap_or(0)
-    }
-
-    /// Remove metadata newer than the recovery line (those checkpoints are
-    /// consumed as invalid); returns the removed metas so the caller can
-    /// delete their durable objects (whole snapshots and owned chunks).
-    pub fn discard_after_line(
-        &mut self,
-        line: &BTreeMap<InstanceIdx, CheckpointId>,
-    ) -> Vec<CheckpointMeta> {
-        let mut removed = Vec::new();
-        let keys: Vec<(InstanceIdx, u64)> = self
-            .metas
-            .keys()
-            .filter(|(inst, idx)| line.get(inst).is_some_and(|l| *idx > l.index))
-            .copied()
-            .collect();
-        for k in keys {
-            if let Some(m) = self.metas.remove(&k) {
-                if m.has_state() {
-                    removed.push(m);
-                }
-            }
-        }
-        removed
-    }
 }
 
 /// Helper: operator instances for a worker from the physical graph.
@@ -838,25 +799,5 @@ mod tests {
         w.unstash(ChannelIdx(5));
         let first = w.queue.pop_first().unwrap();
         assert_eq!(first.0, (10, 1)); // stashed message comes first again
-    }
-
-    #[test]
-    fn coordinator_discard_after_line() {
-        let mut c = Coordinator::new(ProtocolKind::Uncoordinated);
-        for idx in 0..=3u64 {
-            let mut m = CheckpointMeta::initial(InstanceIdx(0), false);
-            m.id = CheckpointId::new(InstanceIdx(0), idx);
-            m.state_key = format!("ckpt/0/{idx}");
-            c.metas.insert((InstanceIdx(0), idx), m);
-        }
-        assert_eq!(c.latest_index(InstanceIdx(0)), 3);
-        let line: BTreeMap<_, _> = [(InstanceIdx(0), CheckpointId::new(InstanceIdx(0), 1))].into();
-        let removed: Vec<String> = c
-            .discard_after_line(&line)
-            .into_iter()
-            .map(|m| m.state_key)
-            .collect();
-        assert_eq!(removed, vec!["ckpt/0/2", "ckpt/0/3"]);
-        assert_eq!(c.latest_index(InstanceIdx(0)), 1);
     }
 }

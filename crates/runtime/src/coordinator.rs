@@ -26,11 +26,11 @@ use crate::wire::Wire;
 use crate::worker::worker_main;
 use crate::{report::LiveReport, Shared};
 use checkmate_core::{
-    coordinated_line, reclaim_floors, rollback_propagation, snapshot, ChannelTriple,
-    CheckpointGraph, CheckpointId, CheckpointMeta, CicPiggyback, DurableCheckpoints, FaultPlan,
-    HmnrPiggyback, KillEvent, ProtocolKind,
+    channel_triples, discard_after_line, line_pins, reclaim_floors, recovery_line, replay_range,
+    ChannelTriple, CheckpointId, CheckpointMeta, CicPiggyback, DurableCheckpoints, FaultPlan,
+    HmnrPiggyback, KillEvent, Metas, ProtocolKind,
 };
-use checkmate_dataflow::graph::{InstanceIdx, PhysicalGraph};
+use checkmate_dataflow::graph::InstanceIdx;
 use checkmate_dataflow::ops::Digest;
 use checkmate_dataflow::{LogicalGraph, OpId, OpRole, Record};
 use checkmate_storage::{
@@ -39,7 +39,7 @@ use checkmate_storage::{
 use checkmate_wal::{ChannelLog, ClaimLog, DeterminantLog, EventStream};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -245,91 +245,17 @@ pub fn run_live(
     report
 }
 
-/// The physical channels' endpoints, in the form the checkpoint graph
-/// and the reclamation floors take them.
-fn channel_triples(pg: &PhysicalGraph) -> Vec<ChannelTriple> {
-    pg.channels()
-        .iter()
-        .map(|c| ChannelTriple {
-            ch: c.idx,
-            from: c.from,
-            to: c.to,
-        })
-        .collect()
-}
-
-/// Compute the protocol's recovery line over the durable checkpoints.
-/// Shared between [`recover`] (the actual rollback), the tiered store's
-/// pin refresh and log reclamation, so eviction protects — and
-/// reclamation spares — exactly what a failure right now would restore
-/// from.
-fn recovery_line(
-    protocol: ProtocolKind,
-    triples: &[ChannelTriple],
-    metas: &BTreeMap<(InstanceIdx, u64), CheckpointMeta>,
-) -> BTreeMap<InstanceIdx, CheckpointId> {
-    match protocol {
-        ProtocolKind::Coordinated | ProtocolKind::None => {
-            let ms: Vec<CheckpointMeta> = metas
-                .values()
-                .filter(|m| m.kind.round().is_some())
-                .cloned()
-                .collect();
-            coordinated_line(&ms)
-        }
-        _ => {
-            // A checkpoint the uploader *deferred* (bounded retries
-            // exhausted mid-brownout) was never acked durable, so an
-            // instance's index sequence may have holes. The rollback
-            // graph requires per-instance contiguity — consider only
-            // each instance's dense prefix. Recovery discards post-line
-            // metadata and the workers re-mint indices from the line,
-            // so holes never accumulate across episodes.
-            let mut expect: BTreeMap<InstanceIdx, u64> = BTreeMap::new();
-            let ms: Vec<CheckpointMeta> = metas
-                .iter()
-                .filter(|((inst, idx), _)| {
-                    let e = expect.entry(*inst).or_insert(0);
-                    if *idx == *e {
-                        *e += 1;
-                        true
-                    } else {
-                        false
-                    }
-                })
-                .map(|(_, m)| m.clone())
-                .collect();
-            rollback_propagation(&CheckpointGraph::build(ms, triples)).line
-        }
-    }
-}
-
-/// Re-pin every object the recovery line `line` can read — each line
-/// member's whole-state key plus all its manifest chunks — so the
+/// Re-pin every object the recovery line `line` can read, so the
 /// compactor (in the uploader thread) never demotes a chunk a failure
-/// right now would need, below its read-cost budget. Mirrors the
-/// engine's `on_tier_maintain` pin set exactly.
+/// right now would need below its read-cost budget.
 fn refresh_pins(
     tiered: &Option<Arc<TieredBackend>>,
     line: &BTreeMap<InstanceIdx, CheckpointId>,
-    metas: &BTreeMap<(InstanceIdx, u64), CheckpointMeta>,
+    metas: &Metas,
 ) {
-    let Some(backend) = tiered else { return };
-    let mut pins = BTreeSet::new();
-    for (&inst, id) in line {
-        let Some(meta) = metas.get(&(inst, id.index)) else {
-            continue;
-        };
-        if !meta.state_key.is_empty() {
-            pins.insert(meta.state_key.clone());
-        }
-        if let Some(man) = &meta.manifest {
-            for c in &man.chunks {
-                pins.insert(snapshot::chunk_key(inst, c.owner, c.slot));
-            }
-        }
+    if let Some(backend) = tiered {
+        backend.set_pins(line_pins(line, metas));
     }
-    backend.set_pins(pins);
 }
 
 /// Recovery-line-driven reclamation for the message-logging protocols
@@ -367,7 +293,7 @@ impl Reclaimer {
         shared: &Shared,
         triples: &[ChannelTriple],
         line: &BTreeMap<InstanceIdx, CheckpointId>,
-        metas: &BTreeMap<(InstanceIdx, u64), CheckpointMeta>,
+        metas: &Metas,
     ) {
         let floors = reclaim_floors(line, metas, triples);
         let mut retained = 0;
@@ -417,7 +343,7 @@ fn coordinate(
     let triples = channel_triples(pg);
     let mut reclaimer = Reclaimer::default();
     let reclaims = cfg.protocol.logs_messages();
-    let mut metas: BTreeMap<(InstanceIdx, u64), CheckpointMeta> = BTreeMap::new();
+    let mut metas = Metas::new();
     for op in pg.logical().ops() {
         for i in 0..cfg.parallelism {
             let idx = InstanceIdx(op.id.0 * cfg.parallelism + i);
@@ -473,7 +399,7 @@ fn coordinate(
         // and reclamation. Not throttled further: reclaiming an interval
         // late doubles the retained window.
         if metas_dirty && (reclaims || tiered.is_some()) {
-            let line = recovery_line(cfg.protocol, &triples, &metas);
+            let line = recovery_line(cfg.protocol, &metas, &triples).line;
             refresh_pins(tiered, &line, &metas);
             if reclaims {
                 reclaimer.reclaim(shared, &triples, &line, &metas);
@@ -656,7 +582,7 @@ fn recover(
     inboxes: &Arc<Vec<Inbox>>,
     note_rx: &Receiver<Note>,
     up_tx: &Sender<UploadMsg>,
-    metas: &mut BTreeMap<(InstanceIdx, u64), CheckpointMeta>,
+    metas: &mut Metas,
     cur_epoch: u32,
     tiered: &Option<Arc<TieredBackend>>,
     start: Instant,
@@ -710,20 +636,12 @@ fn recover(
         inject_due(ctrl_tx, start, plan_kills, down);
 
         // Recovery line.
-        let line = recovery_line(cfg.protocol, triples, metas);
-        // Discard post-line metadata and the durable objects it owns
-        // (the indices will be reused post-rollback; stale chunk objects
-        // must not linger under the same keys).
+        let line = recovery_line(cfg.protocol, metas, triples).line;
+        // Discard post-line metadata and the durable objects it owns.
         let durable = DurableCheckpoints::new(Arc::clone(&shared.store));
-        let discarded: Vec<CheckpointMeta> = metas
-            .iter()
-            .filter(|((inst, idx), _)| line.get(inst).is_none_or(|l| *idx > l.index))
-            .map(|(_, m)| m.clone())
-            .collect();
-        for m in discarded {
+        for m in discard_after_line(metas, &line) {
             durable.delete_checkpoint(&m);
         }
-        metas.retain(|(inst, idx), _| line.get(inst).is_some_and(|l| *idx <= l.index));
         // The surviving metas ARE the restore set: pin them before the
         // compactor (still running in the uploader thread) gets another
         // pass, so restore GETs below read cold objects only when the
@@ -795,9 +713,8 @@ fn recover(
     let new_epoch =
         (metas.values().map(|m| m.id.index as u32).max().unwrap_or(0) + 1).max(cur_epoch + 1);
     if cfg.protocol.logs_messages() {
-        for c in pg.channels() {
-            let lo = metas[&(c.to, line[&c.to].index)].received_on(c.idx);
-            let hi = metas[&(c.from, line[&c.from].index)].sent_on(c.idx);
+        for c in triples {
+            let (lo, hi) = replay_range(&line, metas, c);
             if hi <= lo {
                 continue;
             }
@@ -817,7 +734,7 @@ fn recover(
                 ProtocolKind::CommunicationInducedBcs => Some(CicPiggyback::Bcs { lc: 0 }),
                 _ => None,
             };
-            let items: Vec<(Record, Option<CicPiggyback>)> = shared.logs[c.idx.0 as usize]
+            let items: Vec<(Record, Option<CicPiggyback>)> = shared.logs[c.ch.0 as usize]
                 .lock()
                 .range(lo, hi)
                 .expect("live runtime always materializes its channel logs")
@@ -827,7 +744,7 @@ fn recover(
             let dest_worker = (c.to.0 % cfg.parallelism) as usize;
             inboxes[dest_worker].force_push(Wire::DataBatch {
                 epoch: new_epoch,
-                channel: c.idx,
+                channel: c.ch,
                 start_seq: lo + 1,
                 items,
                 replayed: true,

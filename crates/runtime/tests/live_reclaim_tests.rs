@@ -4,7 +4,7 @@
 //! line advances, and nothing a later recovery reads is among them.
 //! Every assertion is on a count or a digest, never on a duration.
 
-use checkmate_core::{DurableCheckpoints, FaultPlan, KillEvent, ProtocolKind};
+use checkmate_core::{DurableCheckpoints, FaultPlan, KillEvent, ProtocolKind, StragglerWindow};
 use checkmate_dataflow::graph::InstanceIdx;
 use checkmate_dataflow::ops::{DigestSinkOp, KeyedCounterOp, PassThroughOp};
 use checkmate_dataflow::{EdgeKind, GraphBuilder, LogicalGraph, Record, Value};
@@ -206,6 +206,12 @@ impl EventStream for BulkyStream {
 /// rolled-back senders regenerate them, and their re-publication
 /// overlaps what is logged. Replay and the trim must still add up to
 /// exactly-once.
+///
+/// The surviving worker straggles until the kill, so its checkpoint is
+/// taken with the victim's sends still unreceived and the recovery has
+/// something to replay: with both workers at full speed the two
+/// checkpoints see the channels drained and, depending on where the
+/// wall clock put them, nothing may be in flight past the line.
 #[test]
 fn kill_between_an_early_sealed_segment_and_the_next_checkpoint() {
     let run = |protocol, storm| {
@@ -234,7 +240,12 @@ fn kill_between_an_early_sealed_segment_and_the_next_checkpoint() {
                     at_ns: 400 * MS,
                     worker: 0,
                 }],
-                stragglers: Vec::new(),
+                stragglers: vec![StragglerWindow {
+                    worker: 1,
+                    from_ns: 0,
+                    until_ns: 400 * MS,
+                    slowdown: 20.0,
+                }],
                 brownouts: Vec::new(),
             }),
         );

@@ -11,9 +11,8 @@
 //! chain, restore the operator, and keep processing.
 
 use checkmate_core::{
-    rollback_propagation, ChannelBook, CheckpointGraph, CheckpointId, CheckpointKind,
-    CheckpointMeta, ChunkerConfig, DurableCheckpoints, IncrementalPolicy, ProtocolKind,
-    SnapshotManifest,
+    recovery_line, ChannelBook, CheckpointId, CheckpointKind, CheckpointMeta, ChunkerConfig,
+    DurableCheckpoints, IncrementalPolicy, ProtocolKind, SnapshotManifest,
 };
 use checkmate_dataflow::graph::InstanceIdx;
 use checkmate_dataflow::ops::{DigestSinkOp, PassThroughOp, WindowedCountOp};
@@ -151,11 +150,9 @@ fn kill_the_process_and_recover_from_file_backend() {
     let durable = DurableCheckpoints::new(file_store(&dir));
     let metas = durable.load_metas();
     assert_eq!(metas.len(), CHECKPOINTS as usize + 1, "persisted metas");
-    let line = rollback_propagation(&CheckpointGraph::build(
-        metas.values().cloned().collect(),
-        &[], // single instance, no channels
-    ))
-    .line;
+    // The production rule, as both planes run it; single instance, no
+    // channels.
+    let line = recovery_line(ProtocolKind::Uncoordinated, &metas, &[]).line;
     let picked = &metas[&(InstanceIdx(0), line[&InstanceIdx(0)].index)];
     assert_eq!(
         picked.id.index, CHECKPOINTS,
