@@ -12,10 +12,10 @@
 //!   inbox, proving the backpressure path sustains exactly-once with
 //!   bounded memory (`max_inbox_depth` is the evidence);
 //! - **protocol-overhead ablation**: the logging protocols (UNC, CIC)
-//!   at p = 4 across {staged appends, locked oracle} × {steal on,
-//!   steal off} — four transport combinations whose sink digests must
-//!   be bit-identical (the knobs are pure performance levers), with the
-//!   throughput spread quantifying what shared-log lock traffic costs.
+//!   at p = 4 across {staged appends, locked oracle} — two transports
+//!   whose sink digests must be bit-identical (staging is a pure
+//!   performance lever), with the throughput spread quantifying what
+//!   shared-log lock traffic costs.
 //!
 //! ```text
 //! cargo run --release -p checkmate-bench --bin live_bench [-- --json]
@@ -54,7 +54,6 @@ struct Cell {
     parallelism: u32,
     batch_max: usize,
     buffered_logs: bool,
-    steal_sources: bool,
     report: LiveReport,
     wall_secs: f64,
 }
@@ -81,7 +80,6 @@ fn run_cell(
     tweak(&mut cfg);
     let batch_max = cfg.batch_max;
     let buffered_logs = cfg.buffered_logs;
-    let steal_sources = cfg.steal_sources;
     let start = std::time::Instant::now();
     let report = run_query_live(query, SEED, None, FLOOD, cfg);
     let wall_secs = start.elapsed().as_secs_f64();
@@ -93,7 +91,6 @@ fn run_cell(
         parallelism,
         batch_max,
         buffered_logs,
-        steal_sources,
         report,
         wall_secs,
     }
@@ -250,23 +247,6 @@ fn smoke() {
     assert!(r.staged_appends > 0, "buffered run never staged");
     assert_eq!(oracle.staged_appends, 0, "oracle run staged");
     println!("live-smoke oracle-diff:   {}", oracle.summary());
-    // Work-stealing dispatch across the same kill: journaled claims
-    // must keep recovery exactly-once.
-    let mut steal_cfg = base_cfg(2, ProtocolKind::Uncoordinated);
-    steal_cfg.records_per_partition = limit;
-    steal_cfg.kill_worker = Some(1);
-    steal_cfg.checkpoint_interval = Duration::from_millis(100);
-    steal_cfg.steal_sources = true;
-    let stolen = run_query_live(Query::Q1, SEED, None, FLOOD, steal_cfg);
-    assert!(stolen.recovered, "steal-mode kill never recovered");
-    assert_eq!(
-        stolen.sink_digest,
-        r.sink_digest,
-        "steal dispatch broke exactly-once across the kill\nsteal: {}\naffine: {}",
-        stolen.summary(),
-        r.summary()
-    );
-    println!("live-smoke steal-kill:    {}", stolen.summary());
     let (slow, _) = run_slow_sink(2, 1_000);
     println!("live-smoke slow-sink:     {}", slow.summary());
     println!("live-smoke OK");
@@ -309,24 +289,17 @@ fn main() {
             cfg.checkpoint_interval = Duration::from_millis(150);
         },
     ));
-    // Protocol-overhead ablation: the two logging protocols across all
-    // four transport combinations. The digests must be bit-identical —
-    // staged appends and steal dispatch are pure performance knobs.
+    // Protocol-overhead ablation: the two logging protocols across both
+    // transports. The digests must be bit-identical — staged appends
+    // are a pure performance knob.
     for protocol in [
         ProtocolKind::Uncoordinated,
         ProtocolKind::CommunicationInduced,
     ] {
-        let combos: [(&'static str, bool, bool); 4] = [
-            ("ablate-staged", true, false),
-            ("ablate-oracle", false, false),
-            ("ablate-staged-steal", true, true),
-            ("ablate-oracle-steal", false, true),
-        ];
         let mut digest = None;
-        for (name, buffered, steal) in combos {
+        for (name, buffered) in [("ablate-staged", true), ("ablate-oracle", false)] {
             let cell = run_cell(name, Query::Q1, protocol, 4, |cfg| {
                 cfg.buffered_logs = buffered;
-                cfg.steal_sources = steal;
             });
             if let Some(d) = digest {
                 assert_eq!(
@@ -352,14 +325,13 @@ fn main() {
         println!("  \"live_cells\": [");
         for (i, c) in cells.iter().enumerate() {
             println!(
-                "    {{\"cell\": \"{}\", \"query\": \"{}\", \"protocol\": \"{}\", \"parallelism\": {}, \"batch_max\": {}, \"buffered_logs\": {}, \"steal_sources\": {}, \"events\": {}, \"sink_records\": {}, \"sink_digest\": \"{:016x}/{}\", \"wall_secs\": {:.3}, \"events_per_sec\": {:.0}, \"max_inbox_depth\": {}, \"max_out_pending\": {}, \"determinants\": {}, \"staged_appends\": {}, \"log_flushes\": {}, \"steals\": {}, \"steal_denied\": {}, \"recovered\": {}}}{}",
+                "    {{\"cell\": \"{}\", \"query\": \"{}\", \"protocol\": \"{}\", \"parallelism\": {}, \"batch_max\": {}, \"buffered_logs\": {}, \"events\": {}, \"sink_records\": {}, \"sink_digest\": \"{:016x}/{}\", \"wall_secs\": {:.3}, \"events_per_sec\": {:.0}, \"max_inbox_depth\": {}, \"max_out_pending\": {}, \"determinants\": {}, \"staged_appends\": {}, \"log_flushes\": {}, \"recovered\": {}}}{}",
                 c.name,
                 c.query,
                 c.protocol,
                 c.parallelism,
                 c.batch_max,
                 c.buffered_logs,
-                c.steal_sources,
                 c.report.events,
                 c.report.sink_records,
                 c.report.sink_digest.acc,
@@ -371,8 +343,6 @@ fn main() {
                 c.report.determinants,
                 c.report.staged_appends,
                 c.report.log_flushes,
-                c.report.steals,
-                c.report.steal_denied,
                 c.report.recovered,
                 if i + 1 == cells.len() { "" } else { "," }
             );
@@ -386,14 +356,13 @@ fn main() {
     } else {
         for c in &cells {
             println!(
-                "{:19} {:4} {:24} p={} batch={:<4} {}{} {:>10} events {:>9} sinks {:>7.2}s {:>12.0} ev/s inbox≤{} pending≤{} staged={}/{} steals={}(-{})",
+                "{:19} {:4} {:24} p={} batch={:<4} {} {:>10} events {:>9} sinks {:>7.2}s {:>12.0} ev/s inbox≤{} pending≤{} staged={}/{}",
                 c.name,
                 c.query,
                 c.protocol.to_string(),
                 c.parallelism,
                 c.batch_max,
                 if c.buffered_logs { "B" } else { "-" },
-                if c.steal_sources { "S" } else { "-" },
                 c.report.events,
                 c.report.sink_records,
                 c.wall_secs,
@@ -402,8 +371,6 @@ fn main() {
                 c.report.max_out_pending,
                 c.report.staged_appends,
                 c.report.log_flushes,
-                c.report.steals,
-                c.report.steal_denied,
             );
         }
         println!("slow-sink  p=3 cap=64: {}", slow.summary());

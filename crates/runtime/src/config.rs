@@ -116,24 +116,15 @@ pub struct LiveConfig {
     /// against the engine oracle. Costs throughput; leave off outside
     /// oracle tests.
     pub strict_source_order: bool,
-    /// Stage protocol-log appends (channel payloads, delivery
-    /// determinants, steal claims) in sender-local arenas and publish
-    /// them to the shared logs in bulk at the flush boundaries the wire
-    /// protocol already enforces, instead of taking a shared-log mutex
-    /// on every append (see `checkmate_wal::staging`). `false` selects
-    /// the historical one-lock-per-append path, kept as a correctness
+    /// Stage protocol-log appends (channel payloads and delivery
+    /// determinants) in sender-local arenas and publish them to the
+    /// shared logs in bulk at the flush boundaries the wire protocol
+    /// already enforces, instead of taking a shared-log mutex on every
+    /// append (see `checkmate_wal::staging`). `false` selects the
+    /// historical one-lock-per-append path, kept as a correctness
     /// oracle: both modes must produce bit-identical sink digests and
     /// identical replay behavior under any failure schedule.
     pub buffered_logs: bool,
-    /// Work-stealing source dispatch: source offsets are claimed from
-    /// shared per-partition cursors, a drained worker steals a starved
-    /// peer's partition, and every claim is journaled per instance so
-    /// recovery can hand the stolen cursor back exactly-once (see
-    /// `dispatch.rs`). Requires a key-partitioned (shuffle) pipeline —
-    /// stealing reassigns records across ingest workers, which only
-    /// preserves the sink digest when downstream routing is by key.
-    /// Mutually exclusive with [`LiveConfig::strict_source_order`].
-    pub steal_sources: bool,
 }
 
 impl Default for LiveConfig {
@@ -156,7 +147,6 @@ impl Default for LiveConfig {
             source_batch: 128,
             strict_source_order: false,
             buffered_logs: true,
-            steal_sources: false,
         }
     }
 }

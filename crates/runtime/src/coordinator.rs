@@ -36,7 +36,7 @@ use checkmate_dataflow::{LogicalGraph, OpId, OpRole, Record};
 use checkmate_storage::{
     Brownout, MemBackend, ObjectStore, Perturbation, PerturbedBackend, TieredBackend,
 };
-use checkmate_wal::{ChannelLog, ClaimLog, DeterminantLog, EventStream};
+use checkmate_wal::{ChannelLog, DeterminantLog, EventStream};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, VecDeque};
@@ -86,8 +86,6 @@ pub(crate) struct WorkerEnd {
     pub replayed: u64,
     pub staged_appends: u64,
     pub log_flushes: u64,
-    pub steals: u64,
-    pub steal_denied: u64,
 }
 
 /// Run a workload on real threads. `streams[i]` backs source stream `i`.
@@ -112,11 +110,6 @@ pub fn run_live(
     assert!(
         cfg.storm.is_none() || cfg.kill_worker.is_none(),
         "LiveConfig::storm generalizes kill_worker; set at most one"
-    );
-    assert!(
-        !(cfg.steal_sources && cfg.strict_source_order),
-        "steal_sources reassigns partitions across workers and cannot \
-         honor strict (schedule-order) source admission"
     );
     if let Some(plan) = &cfg.storm {
         plan.validate(cfg.parallelism);
@@ -175,12 +168,6 @@ pub fn run_live(
             .collect(),
         dets: (0..n_instances)
             .map(|_| Mutex::new(DeterminantLog::new()))
-            .collect(),
-        claims: (0..n_instances)
-            .map(|_| Mutex::new(ClaimLog::new()))
-            .collect(),
-        cursors: (0..streams.len() * cfg.parallelism as usize)
-            .map(|_| AtomicU64::new(0))
             .collect(),
         pg,
     });
@@ -286,8 +273,7 @@ impl Reclaimer {
     /// contiguous from 0, and a restart from the store recomputes the
     /// line from all of them. Chunked checkpoints stay too — chunks are
     /// shared between manifests, and that liveness rule lives in the
-    /// engine's `gc_after`. Claim journals are never cut: recovery
-    /// rebuilds the shared cursors from the whole journal.
+    /// engine's `gc_after`.
     fn reclaim(
         &mut self,
         shared: &Shared,
@@ -476,8 +462,6 @@ fn coordinate(
     let mut replayed = 0u64;
     let mut staged_appends = 0u64;
     let mut log_flushes = 0u64;
-    let mut steals = 0u64;
-    let mut steal_denied = 0u64;
     let mut max_out_pending = 0usize;
     let mut latencies = Vec::new();
     let mut done = 0;
@@ -493,8 +477,6 @@ fn coordinate(
                 replayed += end.replayed;
                 staged_appends += end.staged_appends;
                 log_flushes += end.log_flushes;
-                steals += end.steals;
-                steal_denied += end.steal_denied;
                 max_out_pending = max_out_pending.max(end.max_out_pending);
                 latencies.extend(end.latencies);
             }
@@ -531,8 +513,6 @@ fn coordinate(
         replayed,
         staged_appends,
         log_flushes,
-        steals,
-        steal_denied,
         recoveries,
         log_entries_reclaimed: reclaimer.log_entries,
         determinants_reclaimed: reclaimer.determinants,
@@ -678,32 +658,6 @@ fn recover(
         }
     };
     down.clear();
-
-    // Work stealing: rewind every shared claim cursor to the journaled
-    // frontier while the workers are still paused. Offsets claimed but
-    // never journaled died with their claimant's staging arena and must
-    // become claimable again; journaled claims are replayed by their
-    // original claimant (armed at Restore), so the frontier — not the
-    // restored checkpoints' positions — is where fresh claiming resumes.
-    if cfg.steal_sources {
-        let n_parts = cfg.parallelism as usize;
-        for c in shared.cursors.iter() {
-            c.store(0, Ordering::SeqCst);
-        }
-        for op in pg.logical().ops() {
-            let OpRole::Source { stream } = op.role else {
-                continue;
-            };
-            for i in 0..cfg.parallelism {
-                let idx = InstanceIdx(op.id.0 * cfg.parallelism + i);
-                let journal = shared.claims[idx.0 as usize].lock();
-                for claim in journal.iter() {
-                    shared.cursors[stream as usize * n_parts + claim.partition as usize]
-                        .fetch_max(claim.end(), Ordering::SeqCst);
-                }
-            }
-        }
-    }
 
     // Replay logged in-flight messages with the fresh epoch, then resume.
     // Inboxes dequeue in push order and workers are still paused while we

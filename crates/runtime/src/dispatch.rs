@@ -6,46 +6,18 @@
 //! (earliest next record wins), so the dispatcher's rotating round-robin
 //! only breaks exact-tie availabilities — keeping multi-stream workloads
 //! fair without letting declaration order pick every tie winner.
-//!
-//! [`SourceDispatcher::steal`] is the work-stealing policy
-//! (`LiveConfig::steal_sources`): when none of a worker's own partitions
-//! has claimable backlog — it drained them, or a straggling peer holds
-//! the only work — it picks a starved peer's partition from the viable
-//! candidates, rotating so repeated steals spread across victims instead
-//! of ganging up on one.
-//!
-//! Stealing is safe because partition ownership is no longer the
-//! checkpointed source cursor alone: offsets are claimed from shared
-//! per-partition cursors, and every claim — own or stolen — is journaled
-//! in the instance's [`checkmate_wal::ClaimLog`] *before* the records it
-//! produced become visible downstream. A checkpoint records the
-//! instance's position in that journal; recovery hands the cursor back
-//! by replaying the journal suffix — the restored instance re-polls
-//! exactly the journaled `(partition, offset)` runs, in order, while the
-//! coordinator resets each shared cursor to the journaled frontier so
-//! claims that died unjournaled become claimable again. Regeneration is
-//! deterministic, so receivers deduplicate the replayed sends by
-//! sequence and the run stays exactly-once.
 
-/// Rotating round-robin order over a worker's source instances, plus
-/// the rotating victim pick for work stealing.
+/// Rotating round-robin order over a worker's source instances.
 pub(crate) struct SourceDispatcher {
     /// Instance indices (into the worker's instance vector) of the
     /// source operators, in declaration order.
     slots: Vec<usize>,
     next: usize,
-    /// Separate rotation for steal victims, so steady polling and
-    /// occasional stealing don't perturb each other's fairness.
-    next_victim: usize,
 }
 
 impl SourceDispatcher {
     pub fn new(slots: Vec<usize>) -> Self {
-        Self {
-            slots,
-            next: 0,
-            next_victim: 0,
-        }
+        Self { slots, next: 0 }
     }
 
     /// The poll order for one loop iteration: all source slots, starting
@@ -57,19 +29,6 @@ impl SourceDispatcher {
             self.next = (self.next + 1) % n;
         }
         (0..n).map(move |i| self.slots[(start + i) % n])
-    }
-
-    /// Pick a steal victim from the viable candidates — `(source slot,
-    /// partition)` pairs whose backlog clears the handoff threshold —
-    /// rotating across calls so repeated steals spread over victims.
-    /// Returns `None` when there is nothing worth stealing.
-    pub fn steal(&mut self, candidates: &[(usize, u32)]) -> Option<(usize, u32)> {
-        if candidates.is_empty() {
-            return None;
-        }
-        let pick = candidates[self.next_victim % candidates.len()];
-        self.next_victim = self.next_victim.wrapping_add(1);
-        Some(pick)
     }
 }
 
@@ -93,17 +52,5 @@ mod tests {
             sorted.sort_unstable();
             assert_eq!(sorted, [2, 5, 7], "every slot polled every iteration");
         }
-    }
-
-    #[test]
-    fn steal_rotates_over_candidates() {
-        let mut d = SourceDispatcher::new(vec![0]);
-        assert_eq!(d.steal(&[]), None);
-        let cands = [(0usize, 1u32), (0, 2), (1, 0)];
-        let picks: Vec<_> = (0..4).map(|_| d.steal(&cands).unwrap()).collect();
-        assert_eq!(picks, [(0, 1), (0, 2), (1, 0), (0, 1)]);
-        // Victim rotation is independent of the poll rotation.
-        let _ = d.order();
-        assert_eq!(d.steal(&cands), Some((0, 2)));
     }
 }

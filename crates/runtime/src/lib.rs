@@ -13,7 +13,7 @@
 //! - `wire`: the batched wire protocol between workers and its two
 //!   flush invariants (flush before markers, flush before checkpoints);
 //! - `inbox`: bounded per-worker inboxes — the backpressure primitive;
-//! - `dispatch`: source poll ordering and the work-stealing hook;
+//! - `dispatch`: source poll ordering;
 //! - `worker`: the per-worker event loop (deliver, route, checkpoint,
 //!   recover, log determinants);
 //! - `uploader`: asynchronous checkpoint durability;
@@ -44,9 +44,8 @@ pub use report::LiveReport;
 
 use checkmate_dataflow::graph::PhysicalGraph;
 use checkmate_storage::SharedStore;
-use checkmate_wal::{ChannelLog, ClaimLog, DeterminantLog};
+use checkmate_wal::{ChannelLog, DeterminantLog};
 use parking_lot::Mutex;
-use std::sync::atomic::AtomicU64;
 
 /// State shared by every thread of a live run. The logs model external
 /// log services: they survive worker kills (a killed worker loses its
@@ -58,15 +57,5 @@ pub(crate) struct Shared {
     /// Per-instance determinant logs (receiver-side delivery order),
     /// indexed by `InstanceIdx`.
     pub dets: Vec<Mutex<DeterminantLog>>,
-    /// Per-source-instance journals of claimed source-offset runs
-    /// (work-stealing dispatch), indexed by `InstanceIdx`; empty and
-    /// untouched unless `steal_sources` is on.
-    pub claims: Vec<Mutex<ClaimLog>>,
-    /// Authoritative next-unclaimed source offset per partition in steal
-    /// mode, indexed `stream * parallelism + partition`. Workers claim
-    /// contiguous offset runs by compare-and-swap; recovery resets each
-    /// cursor to the journaled claim frontier so offsets claimed by a
-    /// dead worker but never journaled become claimable again.
-    pub cursors: Vec<AtomicU64>,
     pub pg: PhysicalGraph,
 }

@@ -43,22 +43,13 @@ pub struct LiveReport {
     pub replayed: u64,
     /// Protocol-log appends staged in worker-local arenas instead of
     /// taking a shared-log mutex (`LiveConfig::buffered_logs`): channel
-    /// payloads, determinants and steal claims. 0 on the locked-oracle
-    /// path.
+    /// payloads and determinants. 0 on the locked-oracle path.
     pub staged_appends: u64,
     /// Bulk publications of staged runs to the shared logs (one count
     /// per non-empty stage drained at a flush boundary). The contention
     /// win is the ratio `staged_appends / log_flushes` — appends that
     /// shared one lock acquisition instead of paying one each.
     pub log_flushes: u64,
-    /// Foreign-partition claims under work-stealing dispatch
-    /// (`LiveConfig::steal_sources`): a drained worker ingested a
-    /// starved peer's backlog.
-    pub steals: u64,
-    /// Steal attempts that found no admissible victim: every foreign
-    /// backlog was under the handoff threshold, or the victim's cursor
-    /// was raced away mid-claim.
-    pub steal_denied: u64,
     /// Completed recovery episodes. The legacy single-kill path reports
     /// 1; a failure storm with overlapping kills may fold several kills
     /// into one episode (a kill landing mid-recovery restarts the line
@@ -111,7 +102,7 @@ impl LiveReport {
              recoveries={}, p50 {:?}, {:.0} ev/s over {:?}, inbox≤{}, \
              pending≤{}, dets={}, replayed={}, staged={}/{} flushes, \
              reclaimed {} log entries (≤{} retained)/{} dets/{} ckpt objects, \
-             steals={}(-{}), store retries {}+{}{}",
+             store retries {}+{}{}",
             self.sink_records,
             self.sink_digest.acc,
             self.sink_digest.count,
@@ -131,8 +122,6 @@ impl LiveReport {
             self.max_log_entries_retained,
             self.determinants_reclaimed,
             self.ckpt_objects_reclaimed,
-            self.steals,
-            self.steal_denied,
             self.store.put_retries,
             self.store.get_retries,
             tier,

@@ -15,9 +15,9 @@
 //!    would come up short.
 //!
 //! These flush sites double as the **staged-append publication points**
-//! (`LiveConfig::buffered_logs`): determinants and steal claims publish
-//! from their worker-local arenas at every flush, before the staged
-//! wires escape; channel payloads publish at invariant 2's
+//! (`LiveConfig::buffered_logs`): determinants publish from their
+//! worker-local arena at every flush, before the staged wires escape;
+//! channel payloads publish at invariant 2's
 //! checkpoint-capture flush, which is exactly when the durable-coverage
 //! requirement bites (see the `worker.rs` module docs).
 //!

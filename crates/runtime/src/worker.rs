@@ -30,9 +30,9 @@
 //! reachability join with deletions) run live correctly because of this.
 //!
 //! **Staged appends.** With `buffered_logs` (the default) no shared-log
-//! mutex is taken per append: determinants and steal claims accumulate
-//! in worker-local [`checkmate_wal::RunStage`] arenas and publish in
-//! bulk at every `flush_sends` *before* the staged wires escape
+//! mutex is taken per append: determinants accumulate in a worker-local
+//! [`checkmate_wal::RunStage`] arena and publish in bulk at every
+//! `flush_sends` *before* the staged wires escape
 //! (causal-logging order). Channel payloads are encoded — once, from
 //! the record the wire still owns — into a per-channel
 //! [`checkmate_wal::Segment`] of a [`checkmate_wal::SegmentStage`], and
@@ -46,18 +46,6 @@
 //! **Clock.** The loop reads the wall clock once per handled wire and
 //! once per source burst into `tick`; operator contexts and sink
 //! latencies take their time from it.
-//!
-//! **Work stealing.** With `steal_sources`, source offsets come from
-//! shared per-partition claim cursors instead of the private checkpointed
-//! cursor: a worker claims contiguous runs of its own partitions by CAS,
-//! steals a starved peer's partition when its own have nothing claimable,
-//! and journals every claim in the instance's shared
-//! [`checkmate_wal::ClaimLog`] before the claimed records' wires leave.
-//! Checkpoints store the journal position; after a restore the instance
-//! replays the journal suffix (re-polling exactly those offsets, in
-//! order) while the coordinator rewinds the shared cursors to the
-//! journaled frontier — the explicit cursor handoff that keeps stolen
-//! partitions exactly-once (see `dispatch.rs`).
 
 use crate::config::LiveConfig;
 use crate::coordinator::{Ctrl, Note, WorkerEnd};
@@ -75,9 +63,7 @@ use checkmate_dataflow::ops::Digest;
 use checkmate_dataflow::{
     shuffle_target, Codec, Dec, Enc, OpCtx, OpRole, Operator, PortId, Record,
 };
-use checkmate_wal::{
-    Claim, EventStream, RunStage, Schedule, SegmentStage, SourceCursor, SourceLog,
-};
+use checkmate_wal::{EventStream, RunStage, Schedule, SegmentStage, SourceCursor, SourceLog};
 use crossbeam::channel::{Receiver, Sender};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -104,13 +90,6 @@ pub(crate) struct LiveInstance {
     /// Wires that arrived ahead of their determinant turn, parked once
     /// (keyed by `(channel, seq)`) instead of rescanned.
     pub det_parked: BTreeMap<(ChannelIdx, u64), (Record, Option<CicPiggyback>)>,
-    /// Position in this instance's shared claim journal (steal mode):
-    /// how many claimed source-offset runs it has ingested. Checkpointed
-    /// with the cursor; recovery replays the journal suffix past it.
-    pub claim_pos: u64,
-    /// Journaled claims still to be re-polled after a restore (steal
-    /// mode). Empty outside recovery replay.
-    pub claim_replay: VecDeque<Claim>,
 }
 
 impl LiveInstance {
@@ -131,7 +110,6 @@ impl LiveInstance {
             Some(c) => {
                 enc.bool(true);
                 enc.u64(c.next_offset);
-                enc.u64(self.claim_pos);
             }
             None => {
                 enc.bool(false);
@@ -152,8 +130,8 @@ impl LiveInstance {
             self.cursor = Some(SourceCursor {
                 next_offset: dec.u64().expect("cursor"),
             });
-            self.claim_pos = dec.u64().expect("claim pos");
         }
+        dec.finish().expect("snapshot fully consumed");
     }
 }
 
@@ -212,8 +190,6 @@ pub(crate) fn worker_main(
                     last_manifest: None,
                     det_replay: VecDeque::new(),
                     det_parked: BTreeMap::new(),
-                    claim_pos: 0,
-                    claim_replay: VecDeque::new(),
                 }
             })
             .collect()
@@ -227,18 +203,14 @@ pub(crate) fn worker_main(
         .map(|(i, _)| i)
         .collect();
     let mut dispatcher = SourceDispatcher::new(source_slots.clone());
-    let n_parts = cfg.parallelism as usize;
     // Sender-local staging arenas (buffered mode): appends accumulate
     // lock-free here and publish to the shared logs in bulk — see the
     // module docs for the publication-order argument. Cleared on
     // kill/restore with the rest of the volatile state.
     let mut chan_stage = SegmentStage::new(shared.logs.len());
     let mut det_stage: RunStage<(ChannelIdx, u64)> = RunStage::new(shared.dets.len());
-    let mut claim_stage: RunStage<Claim> = RunStage::new(shared.claims.len());
     let mut staged_appends = 0u64;
     let mut log_flushes = 0u64;
-    let mut steals = 0u64;
-    let mut steal_denied = 0u64;
     let mut epoch: u32 = 0;
     let mut dead = false;
     let mut paused = false;
@@ -299,22 +271,16 @@ pub(crate) fn worker_main(
         }};
     }
 
-    // Publish staged determinants and steal claims. Must run before any
-    // staged wire escapes: a message's content depends on its sender's
-    // delivery and claim order so far, and the receiver may checkpoint
-    // state built on it the moment it is delivered — the order logs make
-    // that state reproducible only if they cover the send.
-    macro_rules! publish_order_stages {
+    // Publish staged determinants. Must run before any staged wire
+    // escapes: a message's content depends on its sender's delivery
+    // order so far, and the receiver may checkpoint state built on it
+    // the moment it is delivered — the determinant logs make that state
+    // reproducible only if they cover the send.
+    macro_rules! publish_det_stage {
         () => {{
             if !det_stage.is_empty() {
                 det_stage.publish_into(|inst, start, items| {
                     determinants += shared.dets[inst as usize].lock().append_run(start, items);
-                });
-                log_flushes += 1;
-            }
-            if !claim_stage.is_empty() {
-                claim_stage.publish_into(|inst, start, items| {
-                    shared.claims[inst as usize].lock().append_run(start, items);
                 });
                 log_flushes += 1;
             }
@@ -341,7 +307,7 @@ pub(crate) fn worker_main(
     macro_rules! flush_sends {
         () => {{
             if cfg.buffered_logs {
-                publish_order_stages!();
+                publish_det_stage!();
             }
             for batch in out_buf.drain(..) {
                 if cfg.protocol.logs_messages() {
@@ -748,7 +714,6 @@ pub(crate) fn worker_main(
                     out_buf.clear();
                     chan_stage.clear();
                     det_stage.clear();
-                    claim_stage.clear();
                     for q in out_pending.iter_mut() {
                         q.clear();
                     }
@@ -780,15 +745,6 @@ pub(crate) fn worker_main(
                                 .suffix_from(meta.det_pos());
                             inst.det_parked.clear();
                         }
-                        if cfg.steal_sources && inst.stream.is_some() {
-                            // Arm claim-ordered replay: re-poll exactly
-                            // the journaled claims past the restored
-                            // checkpoint, in their original order (the
-                            // cursor handoff for stolen partitions).
-                            inst.claim_replay = shared.claims[inst.idx.0 as usize]
-                                .lock()
-                                .suffix_from(inst.claim_pos);
-                        }
                     }
                     blocked.clear();
                     stash.clear();
@@ -796,7 +752,6 @@ pub(crate) fn worker_main(
                     out_buf.clear();
                     chan_stage.clear();
                     det_stage.clear();
-                    claim_stage.clear();
                     for q in out_pending.iter_mut() {
                         q.clear();
                     }
@@ -918,202 +873,40 @@ pub(crate) fn worker_main(
             } else {
                 cfg.source_batch as u64 * source_slots.len() as u64
             };
-            if cfg.steal_sources {
-                // Claim replay first: a restored instance re-polls
-                // exactly the journaled claims past its checkpoint, in
-                // original order, without touching the shared cursors or
-                // re-journaling — deterministic regeneration, deduped by
-                // sequence downstream.
-                'replay: for &op_i in &source_slots {
-                    while let Some(c) = instances[op_i].claim_replay.front().copied() {
-                        if budget == 0 {
-                            break 'replay;
-                        }
-                        instances[op_i].claim_replay.pop_front();
-                        instances[op_i].claim_pos += 1;
-                        let stream = instances[op_i].stream.expect("source slot") as usize;
-                        for off in c.start..c.end() {
-                            let entry = logs[stream]
-                                .poll(c.partition, off, now)
-                                .expect("journaled claim no longer pollable");
-                            events += 1;
-                            run_and_route!(op_i, PortId(0), entry.record);
-                        }
-                        any = true;
-                        budget = budget.saturating_sub(c.len as u64);
-                    }
-                }
-                // Fresh claims: CAS a contiguous run off a shared
-                // partition cursor — own partitions first, a starved
-                // peer's partition when none of ours has claimable
-                // backlog.
-                let replay_pending = source_slots
-                    .iter()
-                    .any(|&op_i| !instances[op_i].claim_replay.is_empty());
-                let try_claim = |stream: usize, partition: u32, budget: u64| -> Option<Claim> {
-                    let slot = &shared.cursors[stream * n_parts + partition as usize];
-                    loop {
-                        let cur = slot.load(Ordering::Acquire);
-                        if logs[stream].exhausted(cur) {
-                            return None;
-                        }
-                        let n = logs[stream]
-                            .lag(cur, now)
-                            .min(budget)
-                            .min(cfg.source_batch as u64);
-                        if n == 0 {
-                            return None;
-                        }
-                        if slot
-                            .compare_exchange(cur, cur + n, Ordering::AcqRel, Ordering::Acquire)
-                            .is_ok()
-                        {
-                            return Some(Claim {
-                                partition,
-                                start: cur,
-                                len: n as u32,
-                            });
-                        }
-                        // Raced with another claimant; re-read and retry.
-                    }
-                };
-                while budget > 0 && !replay_pending {
-                    let mut claimed: Option<(usize, Claim)> = None;
-                    for op_i in dispatcher.order() {
-                        let stream = instances[op_i].stream.expect("source slot") as usize;
-                        if let Some(c) = try_claim(stream, w, budget) {
-                            claimed = Some((op_i, c));
-                            break;
-                        }
-                    }
-                    if claimed.is_none() {
-                        // Steal path: viable victims are foreign
-                        // partitions whose backlog clears the handoff
-                        // threshold (a full claim batch) — helping a
-                        // genuinely starved peer, not shaving a peer
-                        // that is merely one poll behind.
-                        let mut candidates: Vec<(usize, u32)> = Vec::new();
-                        let mut thin_backlog = false;
-                        for &op_i in &source_slots {
-                            let stream = instances[op_i].stream.expect("source slot") as usize;
-                            for p in 0..n_parts as u32 {
-                                if p == w {
-                                    continue;
-                                }
-                                let cur = shared.cursors[stream * n_parts + p as usize]
-                                    .load(Ordering::Acquire);
-                                if logs[stream].exhausted(cur) {
-                                    continue;
-                                }
-                                let backlog = logs[stream].lag(cur, now);
-                                if backlog >= cfg.source_batch as u64 {
-                                    candidates.push((op_i, p));
-                                } else if backlog > 0 {
-                                    thin_backlog = true;
-                                }
-                            }
-                        }
-                        match dispatcher.steal(&candidates) {
-                            Some((op_i, victim)) => {
-                                let stream = instances[op_i].stream.expect("source slot") as usize;
-                                if let Some(c) = try_claim(stream, victim, budget) {
-                                    steals += 1;
-                                    claimed = Some((op_i, c));
-                                } else {
-                                    // Lost the race for the victim's
-                                    // backlog to its owner or another
-                                    // thief.
-                                    steal_denied += 1;
-                                }
-                            }
-                            None => {
-                                if thin_backlog {
-                                    // Foreign backlog exists but is under
-                                    // the handoff threshold.
-                                    steal_denied += 1;
-                                }
-                            }
-                        }
-                    }
-                    let Some((op_i, c)) = claimed else {
-                        break;
-                    };
-                    // Journal-then-ingest: the claim is journaled before
-                    // its records route, so it publishes no later than
-                    // the wires it produced (`publish_order_stages` on
-                    // the buffered path, a direct locked append on the
-                    // oracle path).
-                    if cfg.buffered_logs {
-                        claim_stage.stage(instances[op_i].idx.0, instances[op_i].claim_pos, c);
-                        staged_appends += 1;
-                    } else {
-                        shared.claims[instances[op_i].idx.0 as usize]
-                            .lock()
-                            .append(instances[op_i].claim_pos, c);
-                    }
-                    instances[op_i].claim_pos += 1;
-                    let stream = instances[op_i].stream.expect("source slot") as usize;
-                    for off in c.start..c.end() {
-                        let entry = logs[stream]
-                            .poll(c.partition, off, now)
-                            .expect("claimed offset no longer pollable");
-                        events += 1;
-                        run_and_route!(op_i, PortId(0), entry.record);
-                    }
-                    any = true;
-                    budget = budget.saturating_sub(c.len as u64);
-                }
-            } else {
-                while budget > 0 {
-                    let mut best: Option<(u64, usize)> = None;
-                    for op_i in dispatcher.order() {
-                        let stream = instances[op_i].stream.expect("source slot") as usize;
-                        let cursor = instances[op_i].cursor.expect("source");
-                        let Some(at) = logs[stream].available_at(cursor.next_offset) else {
-                            continue; // exhausted
-                        };
-                        if at <= now && best.is_none_or(|(b, _)| at < b) {
-                            best = Some((at, op_i));
-                        }
-                    }
-                    let Some((_, op_i)) = best else {
-                        break;
-                    };
+            while budget > 0 {
+                let mut best: Option<(u64, usize)> = None;
+                for op_i in dispatcher.order() {
                     let stream = instances[op_i].stream.expect("source slot") as usize;
                     let cursor = instances[op_i].cursor.expect("source");
-                    let Some(entry) = logs[stream].poll(w, cursor.next_offset, now) else {
-                        break;
+                    let Some(at) = logs[stream].available_at(cursor.next_offset) else {
+                        continue; // exhausted
                     };
-                    any = true;
-                    events += 1;
-                    budget -= 1;
-                    instances[op_i].cursor.as_mut().expect("source").advance();
-                    run_and_route!(op_i, PortId(0), entry.record);
+                    if at <= now && best.is_none_or(|(b, _)| at < b) {
+                        best = Some((at, op_i));
+                    }
                 }
+                let Some((_, op_i)) = best else {
+                    break;
+                };
+                let stream = instances[op_i].stream.expect("source slot") as usize;
+                let cursor = instances[op_i].cursor.expect("source");
+                let Some(entry) = logs[stream].poll(w, cursor.next_offset, now) else {
+                    break;
+                };
+                any = true;
+                events += 1;
+                budget -= 1;
+                instances[op_i].cursor.as_mut().expect("source").advance();
+                run_and_route!(op_i, PortId(0), entry.record);
             }
         }
 
-        // Has every source partition been fully consumed? Under work
-        // stealing ownership is fluid, so the question is global: every
-        // shared partition cursor exhausted and no claim replay pending
-        // anywhere locally.
-        let drained = if cfg.steal_sources {
-            source_slots.iter().all(|&op_i| {
-                instances[op_i].claim_replay.is_empty() && {
-                    let stream = instances[op_i].stream.expect("source slot") as usize;
-                    (0..n_parts).all(|p| {
-                        logs[stream]
-                            .exhausted(shared.cursors[stream * n_parts + p].load(Ordering::Acquire))
-                    })
-                }
-            })
-        } else {
-            source_slots.iter().all(|&op_i| {
-                let stream = instances[op_i].stream.expect("source slot") as usize;
-                let cursor = instances[op_i].cursor.expect("source");
-                logs[stream].exhausted(cursor.next_offset)
-            })
-        };
+        // Has every source partition been fully consumed?
+        let drained = source_slots.iter().all(|&op_i| {
+            let stream = instances[op_i].stream.expect("source slot") as usize;
+            let cursor = instances[op_i].cursor.expect("source");
+            logs[stream].exhausted(cursor.next_offset)
+        });
 
         // Local checkpoint timers (UNC/CIC).
         if cfg.protocol.independent_checkpoints() && start.elapsed() >= next_local_ckpt {
@@ -1180,8 +973,48 @@ pub(crate) fn worker_main(
             replayed,
             staged_appends,
             log_flushes,
-            steals,
-            steal_denied,
         },
     ));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use checkmate_dataflow::ops::PassThroughOp;
+
+    fn source_instance() -> LiveInstance {
+        LiveInstance {
+            idx: InstanceIdx(0),
+            op: Box::new(PassThroughOp),
+            book: ChannelBook::new(),
+            aligner: None,
+            cic: None,
+            ckpt_index: 0,
+            cursor: Some(SourceCursor::default()),
+            stream: Some(0),
+            last_manifest: None,
+            det_replay: VecDeque::new(),
+            det_parked: BTreeMap::new(),
+        }
+    }
+
+    #[test]
+    fn source_snapshot_round_trips_cursor() {
+        let mut taken = source_instance();
+        for _ in 0..42 {
+            taken.cursor.as_mut().expect("source").advance();
+        }
+        let bytes = taken.snapshot_bytes();
+        let mut restored = source_instance();
+        restored.restore_from(&bytes);
+        assert_eq!(restored.cursor.map(|c| c.next_offset), Some(42));
+    }
+
+    #[test]
+    #[should_panic(expected = "snapshot fully consumed")]
+    fn snapshot_with_trailing_bytes_is_rejected() {
+        let mut bytes = source_instance().snapshot_bytes();
+        bytes.extend_from_slice(&0u64.to_le_bytes());
+        source_instance().restore_from(&bytes);
+    }
 }

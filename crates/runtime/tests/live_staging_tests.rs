@@ -1,9 +1,8 @@
-//! Staged-append and work-stealing equivalence: the contention-free
-//! data plane (`buffered_logs`, worker-local append arenas published at
-//! flush boundaries) and the claim-journal work-stealing dispatcher
-//! (`steal_sources`) must be pure performance knobs — every sink digest
-//! bit-identical to the locked-oracle, no-steal run, failure-free and
-//! under scripted kill schedules and the PR 8 overlapping fault storm.
+//! Staged-append equivalence: the contention-free data plane
+//! (`buffered_logs`, worker-local append arenas published at flush
+//! boundaries) must be a pure performance knob — every sink digest
+//! bit-identical to the locked-oracle run under scripted kill schedules
+//! and an overlapping fault storm.
 
 use checkmate_core::{BrownoutWindow, FaultPlan, KillEvent, ProtocolKind, StragglerWindow};
 use checkmate_dataflow::ops::{DigestSinkOp, KeyedCounterOp, PassThroughOp};
@@ -158,97 +157,6 @@ fn staged_appends_match_locked_oracle_under_storm() {
                 buffered.summary()
             );
         }
-    }
-}
-
-/// Work stealing under imbalance and a kill: a straggler window forces
-/// a real backlog gap so drained peers steal, then a kill lands and
-/// recovery must replay the journaled claims — the digest still matches
-/// a clean run with stealing off.
-#[test]
-fn steal_under_kill_is_exactly_once() {
-    let graph = counting_graph();
-    let plan = FaultPlan {
-        seed: 0,
-        kills: vec![KillEvent {
-            at_ns: 350 * MS,
-            worker: 0,
-        }],
-        stragglers: vec![StragglerWindow {
-            worker: 1,
-            from_ns: 100 * MS,
-            until_ns: 600 * MS,
-            slowdown: 4.0,
-        }],
-        brownouts: Vec::new(),
-    };
-    for protocol in [ProtocolKind::Uncoordinated, ProtocolKind::Coordinated] {
-        let baseline = run_live(&graph, streams(), cfg(protocol, None));
-        // Both transports: the claim journal is staged-then-published on
-        // the buffered path and appended under the lock on the oracle
-        // path; a kill must replay it correctly either way. Flood the
-        // schedule: with every record due immediately, the 4x straggler
-        // accumulates a real backlog (a rate-limited schedule keeps
-        // every partition's lag under the handoff threshold and steals
-        // are all denied as thin).
-        for buffered in [true, false] {
-            let stolen = run_live(
-                &graph,
-                streams(),
-                LiveConfig {
-                    steal_sources: true,
-                    buffered_logs: buffered,
-                    rate_per_partition: 1e9,
-                    ..cfg(protocol, Some(plan.clone()))
-                },
-            );
-            assert_eq!(
-                stolen.sink_digest,
-                baseline.sink_digest,
-                "{protocol} buffered={buffered}: steal + kill broke exactly-once\n\
-                 baseline: {}\nstolen:   {}",
-                baseline.summary(),
-                stolen.summary()
-            );
-            assert!(
-                stolen.recovered,
-                "{protocol} buffered={buffered}: kill never recovered"
-            );
-            assert!(
-                stolen.steals > 0,
-                "{protocol} buffered={buffered}: a 4x straggler produced no steals: {}",
-                stolen.summary()
-            );
-        }
-    }
-}
-
-/// Failure-free stealing on a balanced input still matches the
-/// partition-affine dispatch digest (steals may or may not fire — with
-/// no straggler the backlog rarely clears the handoff threshold — but
-/// the result must be identical either way).
-#[test]
-fn steal_failure_free_matches_affine_dispatch() {
-    let graph = counting_graph();
-    for protocol in PROTOCOLS {
-        let affine = run_live(&graph, streams(), cfg(protocol, None));
-        let stealing = run_live(
-            &graph,
-            streams(),
-            LiveConfig {
-                steal_sources: true,
-                ..cfg(protocol, None)
-            },
-        );
-        assert_eq!(
-            stealing.sink_digest,
-            affine.sink_digest,
-            "{protocol}: steal dispatch changed a failure-free digest\n\
-             affine:   {}\nstealing: {}",
-            affine.summary(),
-            stealing.summary()
-        );
-        assert_eq!(stealing.sink_records, affine.sink_records);
     }
 }
 

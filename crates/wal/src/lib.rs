@@ -13,11 +13,9 @@
 //! - [`determinant::DeterminantLog`] — receiver-side delivery-order
 //!   logs, the determinants that make log-based replay deterministic
 //!   for operators whose output depends on cross-channel arrival order.
-//! - [`staging::RunStage`] / [`staging::SegmentStage`] /
-//!   [`staging::ClaimLog`] — sender-local staging arenas that keep the
-//!   shared-log mutexes off the hot path (payloads stage as segments),
-//!   and the per-instance journal of claimed source-offset runs that
-//!   makes work-stealing source dispatch recoverable.
+//! - [`staging::RunStage`] / [`staging::SegmentStage`] — sender-local
+//!   staging arenas that keep the shared-log mutexes off the hot path
+//!   (payloads stage as segments).
 
 pub mod channel_log;
 pub mod determinant;
@@ -27,4 +25,4 @@ pub mod staging;
 pub use channel_log::{ChannelLog, LogEntry, ReplayUnavailable, Segment, SEAL_BYTES};
 pub use determinant::{DeterminantLog, DET_ENTRY_BYTES};
 pub use source::{EventStream, Schedule, SourceCursor, SourceEntry, SourceLog};
-pub use staging::{Claim, ClaimLog, RunStage, SegmentStage};
+pub use staging::{RunStage, SegmentStage};

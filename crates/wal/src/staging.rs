@@ -19,10 +19,9 @@
 //! shared [`crate::ChannelLog`] whole. Publication order carries the
 //! correctness argument:
 //!
-//! * **determinants and claims publish before any staged wire leaves the
-//!   worker** — a message's content depends on its sender's delivery
-//!   order (and, under work stealing, its source-claim order) so far;
-//!   once those determinants are in the shared log *before* the message
+//! * **determinants publish before any staged wire leaves the worker**
+//!   — a message's content depends on its sender's delivery order so
+//!   far; once those determinants are in the shared log *before* the message
 //!   becomes visible, any downstream state built on the message is
 //!   reproducible by ordered replay;
 //! * **channel payloads publish before every checkpoint capture** — a
@@ -41,17 +40,9 @@
 //! Staged runs are discarded on kill/restore exactly like the rest of a
 //! worker's volatile state; the shared logs' idempotent append paths
 //! absorb the re-publication of regenerated entries.
-//!
-//! [`ClaimLog`] extends the determinant idea to *source polls* for the
-//! work-stealing dispatcher: each source instance journals the runs of
-//! `(partition, offset)` it claimed, in claim order, so a restored
-//! instance can re-poll exactly the claims past its checkpoint — the
-//! "explicit checkpointed-cursor handoff" that makes stolen partitions
-//! recover exactly-once (see `runtime::dispatch`).
 
 use crate::channel_log::{Segment, SEAL_BYTES};
 use checkmate_dataflow::Record;
-use std::collections::VecDeque;
 
 /// A worker-local arena of contiguous append runs, one lane per shared
 /// log. `stage` is lock-free (a `Vec` push); `publish_into` drains every
@@ -186,122 +177,6 @@ impl SegmentStage {
     }
 }
 
-/// One claimed run of source offsets: `len` consecutive offsets of
-/// `partition` starting at `start`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Claim {
-    pub partition: u32,
-    pub start: u64,
-    pub len: u32,
-}
-
-impl Claim {
-    /// One past the last claimed offset.
-    pub fn end(&self) -> u64 {
-        self.start + self.len as u64
-    }
-}
-
-/// Per-source-instance journal of claimed source-offset runs, in claim
-/// order — the determinant log of the work-stealing dispatcher.
-///
-/// Checkpoints record their absolute position in it (the instance's
-/// `claim_pos`); recovery replays the suffix past the restored
-/// checkpoint, re-polling exactly the journaled `(partition, offset)`
-/// runs in their original order, so the regenerated sends are
-/// bit-identical to the pre-crash ones and receivers can dedup them by
-/// sequence. Like the other shared logs it models an external service:
-/// it survives worker kills, and re-publication of regenerated claims
-/// is idempotent.
-#[derive(Debug, Default)]
-pub struct ClaimLog {
-    entries: VecDeque<Claim>,
-    /// Absolute position of `entries[0]` (everything below is GC'd).
-    first_pos: u64,
-}
-
-impl ClaimLog {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one claim at absolute position `pos`. Re-publication after
-    /// a rollback re-uses original positions and is ignored (the
-    /// original entry stands), mirroring [`crate::DeterminantLog`].
-    pub fn append(&mut self, pos: u64, claim: Claim) {
-        let expected = self.end_pos();
-        if pos < expected {
-            debug_assert_eq!(
-                self.entries[(pos - self.first_pos) as usize],
-                claim,
-                "re-published claim diverged from the journaled original"
-            );
-            return;
-        }
-        assert_eq!(
-            pos, expected,
-            "claim log gap: appended pos {pos}, expected {expected}"
-        );
-        self.entries.push_back(claim);
-    }
-
-    /// Bulk append of a contiguous staged run starting at `start_pos`.
-    /// Returns how many entries were fresh (not re-publications).
-    pub fn append_run(&mut self, start_pos: u64, claims: &[Claim]) -> u64 {
-        let mut fresh = 0;
-        for (i, &c) in claims.iter().enumerate() {
-            let before = self.end_pos();
-            self.append(start_pos + i as u64, c);
-            if self.end_pos() > before {
-                fresh += 1;
-            }
-        }
-        fresh
-    }
-
-    /// Absolute position one past the last journaled claim — what a
-    /// checkpoint taken now should store as its `claim_pos`.
-    pub fn end_pos(&self) -> u64 {
-        self.first_pos + self.entries.len() as u64
-    }
-
-    /// The claims journaled from absolute position `pos` on. Panics if
-    /// part of the suffix was truncated — recovery must never need GC'd
-    /// claims.
-    pub fn suffix_from(&self, pos: u64) -> VecDeque<Claim> {
-        assert!(
-            pos >= self.first_pos,
-            "claim replay from pos {pos} reaches below retained pos {}",
-            self.first_pos
-        );
-        self.entries
-            .iter()
-            .skip((pos - self.first_pos) as usize)
-            .copied()
-            .collect()
-    }
-
-    /// Retained claims in journal order.
-    pub fn iter(&self) -> impl Iterator<Item = &Claim> {
-        self.entries.iter()
-    }
-
-    /// Highest journaled end offset for `partition` (0 if none): the
-    /// recovery-time claim frontier the shared cursors reset to.
-    pub fn frontier(&self, partition: u32) -> u64 {
-        self.entries
-            .iter()
-            .filter(|c| c.partition == partition)
-            .map(Claim::end)
-            .max()
-            .unwrap_or(0)
-    }
-
-    pub fn retained_len(&self) -> usize {
-        self.entries.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -379,45 +254,5 @@ mod tests {
         assert!(s.is_empty());
         s.stage(0, 2, &rec);
         s.publish_into(|_, seg| assert_eq!(logs[0].publish(seg), 1));
-    }
-
-    fn c(partition: u32, start: u64, len: u32) -> Claim {
-        Claim {
-            partition,
-            start,
-            len,
-        }
-    }
-
-    #[test]
-    fn claim_log_records_and_replays_in_order() {
-        let mut l = ClaimLog::new();
-        l.append(0, c(0, 0, 8));
-        l.append(1, c(2, 0, 4));
-        l.append(2, c(0, 8, 8));
-        assert_eq!(l.end_pos(), 3);
-        assert_eq!(l.suffix_from(1), [c(2, 0, 4), c(0, 8, 8)]);
-        assert_eq!(l.frontier(0), 16);
-        assert_eq!(l.frontier(2), 4);
-        assert_eq!(l.frontier(9), 0);
-    }
-
-    #[test]
-    fn claim_republication_is_idempotent() {
-        let mut l = ClaimLog::new();
-        assert_eq!(l.append_run(0, &[c(0, 0, 4), c(1, 0, 2)]), 2);
-        // A rolled-back claimant republishes the same claims at the same
-        // positions, then makes fresh progress.
-        assert_eq!(l.append_run(0, &[c(0, 0, 4), c(1, 0, 2), c(0, 4, 4)]), 1);
-        assert_eq!(l.end_pos(), 3);
-        assert_eq!(l.frontier(0), 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "claim log gap")]
-    fn claim_gap_panics() {
-        let mut l = ClaimLog::new();
-        l.append(0, c(0, 0, 1));
-        l.append(2, c(0, 1, 1));
     }
 }

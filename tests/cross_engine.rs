@@ -203,15 +203,14 @@ fn virtual_and_live_engines_agree_across_failures() {
     );
 }
 
-/// The protocol data-plane knobs — staged shared-log appends
-/// (`buffered_logs`) and claim-journal work stealing (`steal_sources`)
-/// — are transport choices, not semantics: under one shared config
-/// every {staged, locked-oracle} x {steal on, steal off} live digest
-/// matches the virtual-time engine bit for bit.
+/// The protocol data-plane knob — staged shared-log appends
+/// (`buffered_logs`) — is a transport choice, not semantics: under one
+/// shared config both the staged and the locked-oracle live digest
+/// match the virtual-time engine bit for bit.
 #[test]
 fn live_transport_ablation_agrees_with_virtual_engine() {
     let reference = virtual_digest(ProtocolKind::Uncoordinated, false);
-    for (buffered, steal) in [(true, false), (false, false), (true, true), (false, true)] {
+    for buffered in [true, false] {
         let r = run_live(
             &graph(),
             vec![stream()],
@@ -223,14 +222,13 @@ fn live_transport_ablation_agrees_with_virtual_engine() {
                 checkpoint_interval: Duration::from_millis(120),
                 timeout: Duration::from_secs(60),
                 buffered_logs: buffered,
-                steal_sources: steal,
                 ..LiveConfig::default()
             },
         );
         assert_eq!(
             r.sink_digest,
             reference,
-            "buffered={buffered} steal={steal}: live transport diverged \
+            "buffered={buffered}: live transport diverged \
              from the virtual engine: {}",
             r.summary()
         );
