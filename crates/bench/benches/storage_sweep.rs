@@ -1,23 +1,16 @@
 //! Criterion wrapper for the storage-sensitivity sweep: regenerates the
-//! experiment at quick scale, then times its storage cells — one flat
-//! (s3-wan, the slowest profile) and one tiered (the local-ssd →
-//! minio-lan → s3-wan ladder with compaction on) — so regressions in
-//! the tiered backend's PUT/GET path and the compactor's modeled events
-//! show up in bench history. Both cells run through the calling
-//! thread's persistent `RunSession` (the real probe loop: cached graph
-//! expansion, reset-in-place operators), not per-iteration world
-//! construction; the tiered store itself is rebuilt each run — layer
-//! history is not recyclable — which is exactly the cost the cell
-//! should track.
+//! experiment at quick scale, then times one storage cell (s3-wan, the
+//! slowest profile) so regressions in the store's PUT/GET path show up
+//! in bench history. The cell runs through the calling thread's
+//! persistent `RunSession` (the real probe loop: cached graph
+//! expansion, reset-in-place operators, a pooled store), not
+//! per-iteration world construction.
 
 use checkmate_bench::{experiments, Harness, Scale, Wl};
 use checkmate_core::ProtocolKind;
-use checkmate_engine::config::{EngineConfig, TierConfig};
 use checkmate_nexmark::Query;
 use checkmate_storage::StorageProfile;
 use criterion::{criterion_group, criterion_main, Criterion};
-
-type Tweak = fn(&mut EngineConfig);
 
 fn bench(c: &mut Criterion) {
     let h = Harness::new(Scale::quick());
@@ -25,34 +18,22 @@ fn bench(c: &mut Criterion) {
         "{}",
         experiments::storage_sweep::render(&experiments::storage_sweep::run(&h))
     );
-    let cells: [(&str, Tweak); 2] = [
-        ("flat_s3_wan", |cfg| {
-            cfg.storage = StorageProfile::s3_wan();
-        }),
-        ("tiered", |cfg| {
-            let tc = TierConfig::standard(cfg.checkpoint_interval);
-            cfg.storage = tc.tiers.hot;
-            cfg.tiering = Some(tc);
-        }),
-    ];
+    let run = || {
+        h.run_at_rate_uncached_with(
+            Wl::Nexmark(Query::Q12),
+            ProtocolKind::Uncoordinated,
+            4,
+            2_000.0,
+            true,
+            None,
+            |cfg| cfg.storage = StorageProfile::s3_wan(),
+        )
+        .sink_records
+    };
+    assert!(run() > 0, "flat_s3_wan cell produced no output");
     let mut g = c.benchmark_group("storage_sweep");
     g.sample_size(10);
-    for (name, tweak) in cells {
-        let run = || {
-            h.run_at_rate_uncached_with(
-                Wl::Nexmark(Query::Q12),
-                ProtocolKind::Uncoordinated,
-                4,
-                2_000.0,
-                true,
-                None,
-                tweak,
-            )
-            .sink_records
-        };
-        assert!(run() > 0, "{name} cell produced no output");
-        g.bench_function(name, |b| b.iter(run));
-    }
+    g.bench_function("flat_s3_wan", |b| b.iter(run));
     g.finish();
 }
 

@@ -22,10 +22,7 @@
 //! queue (the ladder queue's equivalence oracle); output is identical
 //! either way. `--snapshot full` switches every simulation to the
 //! materializing snapshot path (the sized-only accounting's oracle);
-//! output is likewise identical either way. `--profile tiered` routes
-//! every run without explicit tiering through the passthrough tiered
-//! store (the tiered backend's flat-pricing oracle); output is likewise
-//! identical either way (CI diffs the `storage_sweep` JSON).
+//! output is likewise identical either way.
 //! `--arrival-index btree` switches every worker's inbound queue to the
 //! BTree map index (the calendar index's equivalence oracle); output is
 //! likewise identical either way (CI diffs the whole result directory).
@@ -47,7 +44,6 @@ fn main() {
     let mut queue = QueueBackend::default();
     let mut snapshot = SnapshotMode::default();
     let mut arrival = ArrivalIndex::default();
-    let mut tier_oracle = false;
 
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -82,14 +78,6 @@ fn main() {
                     other => panic!("unknown arrival index {other}; use calendar|btree"),
                 };
             }
-            "--profile" => {
-                let v = args.next().expect("--profile needs a value");
-                tier_oracle = match v.as_str() {
-                    "flat" => false,
-                    "tiered" => true,
-                    other => panic!("unknown storage profile {other}; use flat|tiered"),
-                };
-            }
             "--jobs" => {
                 jobs = args
                     .next()
@@ -120,7 +108,7 @@ fn main() {
             }
             "-v" | "--verbose" => verbose = true,
             "-h" | "--help" => {
-                eprintln!("usage: regen [--scale quick|paper-lite|paper|paper-full] [--exp ids] [--jobs N] [--out dir] [--cache-dir dir] [--queue ladder|heap] [--snapshot auto|full|sized] [--arrival-index calendar|btree] [--profile flat|tiered] [-v]");
+                eprintln!("usage: regen [--scale quick|paper-lite|paper|paper-full] [--exp ids] [--jobs N] [--out dir] [--cache-dir dir] [--queue ladder|heap] [--snapshot auto|full|sized] [--arrival-index calendar|btree] [-v]");
                 eprintln!("experiments: {}", exp::ALL_IDS.join(", "));
                 return;
             }
@@ -147,7 +135,6 @@ fn main() {
     h.queue = queue;
     h.snapshot = snapshot;
     h.arrival = arrival;
-    h.tier_oracle = tier_oracle;
     if let Some(dir) = &cache_dir {
         h.set_cache_dir(dir.clone());
     }

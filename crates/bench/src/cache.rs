@@ -35,7 +35,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// 4: live protocol data plane reworked (staged shared-log appends,
 ///    work-stealing source dispatch) and `LiveReport` gained the
 ///    staged/steal health counters — live-derived cells must recompute.
-pub const CACHE_FORMAT: u32 = 4;
+/// 5: `RunReport` dropped the tiered-storage stats block.
+pub const CACHE_FORMAT: u32 = 5;
 
 /// A directory of fingerprint-keyed entries with hit/miss counters.
 pub struct DiskCache {

@@ -13,7 +13,6 @@
 use crate::harness::{Harness, Wl};
 use crate::results::{ms_opt, text_table, Experiment};
 use checkmate_core::IncrementalPolicy;
-use checkmate_engine::config::TierConfig;
 use checkmate_nexmark::Query;
 use checkmate_storage::StorageProfile;
 use serde::Serialize;
@@ -34,17 +33,6 @@ pub struct Row {
     pub restart_ms: Option<f64>,
     pub recovery_ms: Option<f64>,
     pub sustainable: bool,
-    /// Tier residency at run end — 0 for flat rows (including the
-    /// passthrough-oracle runs of `regen --profile tiered`, so the
-    /// flat/tiered JSON diff stays byte-identical).
-    pub hot_mb: f64,
-    pub warm_mb: f64,
-    pub cold_mb: f64,
-    /// High-water mark of hot-tier resident bytes.
-    pub hot_peak_mb: f64,
-    /// Bytes compaction avoided writing warm (identical chunks
-    /// deduplicated at seal/rewrite time).
-    pub dedup_saved_mb: f64,
 }
 
 fn profiles() -> [StorageProfile; 4] {
@@ -56,23 +44,11 @@ fn profiles() -> [StorageProfile; 4] {
     ]
 }
 
-/// One sweep cell's storage shape: a flat profile or the tiered ladder
-/// (local-ssd hot → minio-lan warm → s3-wan cold, compaction on).
-#[derive(Debug, Clone, Copy)]
-enum Storage {
-    Flat(StorageProfile),
-    Tiered,
-}
-
 pub fn run(h: &Harness) -> Experiment<Row> {
     let workers = h.scale.table_parallelisms[0];
     let q = Query::Q12; // windowed count: real per-instance state
     let mut points = Vec::new();
-    for storage in profiles()
-        .into_iter()
-        .map(Storage::Flat)
-        .chain([Storage::Tiered])
-    {
+    for storage in profiles() {
         for proto in super::PROTOCOLS {
             for (mode, incremental) in [
                 ("full", None),
@@ -85,32 +61,13 @@ pub fn run(h: &Harness) -> Experiment<Row> {
     let rows = h.par_map(points, |h, (storage, proto, mode, incremental)| {
         let r = h.run_at_mst_with(Wl::Nexmark(q), proto, workers, 0.8, true, |cfg| {
             cfg.incremental = incremental;
-            match storage {
-                Storage::Flat(profile) => cfg.storage = profile,
-                Storage::Tiered => {
-                    let tc = TierConfig::standard(h.scale.checkpoint_interval);
-                    // Uploads land hot; keep the report's flat profile
-                    // accounting on the same (hot) tier.
-                    cfg.storage = tc.tiers.hot;
-                    cfg.tiering = Some(tc);
-                }
-            }
+            cfg.storage = storage;
         });
-        // Tier columns only for the genuinely tiered cell: a
-        // passthrough-oracle run (`regen --profile tiered`) also carries
-        // tier stats, but its rows must render exactly like flat ones.
-        let tier = match storage {
-            Storage::Tiered => r.tier.unwrap_or_default(),
-            Storage::Flat(_) => Default::default(),
-        };
         Row {
             query: q.name(),
             workers,
             protocol: proto.to_string(),
-            storage: match storage {
-                Storage::Flat(profile) => profile.name,
-                Storage::Tiered => "tiered",
-            },
+            storage: storage.name,
             mode,
             avg_checkpoint_ms: r.avg_checkpoint_time_ns as f64 / 1e6,
             checkpoints: r.checkpoints_total,
@@ -120,11 +77,6 @@ pub fn run(h: &Harness) -> Experiment<Row> {
             restart_ms: r.restart_time_ns.map(|t| t as f64 / 1e6),
             recovery_ms: r.recovery_time_ns.map(|t| t as f64 / 1e6),
             sustainable: r.sustainable,
-            hot_mb: tier.hot.bytes as f64 / 1e6,
-            warm_mb: tier.warm.bytes as f64 / 1e6,
-            cold_mb: tier.cold.bytes as f64 / 1e6,
-            hot_peak_mb: tier.hot_peak_bytes as f64 / 1e6,
-            dedup_saved_mb: tier.dedup_saved_bytes as f64 / 1e6,
         }
     });
     Experiment::new(
@@ -151,7 +103,6 @@ pub fn render(e: &Experiment<Row>) -> String {
             "live (MB)",
             "restart (ms)",
             "recovery (ms)",
-            "hot/warm/cold (MB)",
         ],
         &e.rows
             .iter()
@@ -169,11 +120,6 @@ pub fn render(e: &Experiment<Row>) -> String {
                     format!("{:.2}", r.bytes_live_mb),
                     ms_opt(r.restart_ms.map(|v| (v * 1e6) as u64)),
                     ms_opt(r.recovery_ms.map(|v| (v * 1e6) as u64)),
-                    if r.storage == "tiered" {
-                        format!("{:.2}/{:.2}/{:.2}", r.hot_mb, r.warm_mb, r.cold_mb)
-                    } else {
-                        "-".to_string()
-                    },
                 ]
             })
             .collect::<Vec<_>>(),

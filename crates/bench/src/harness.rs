@@ -18,7 +18,7 @@ use crate::scale::Scale;
 use checkmate_core::ProtocolKind;
 use checkmate_cyclic::{reachability, DEFAULT_NODES};
 use checkmate_dataflow::WorkerId;
-use checkmate_engine::config::{EngineConfig, FailureSpec, SnapshotMode, TierConfig};
+use checkmate_engine::config::{EngineConfig, FailureSpec, SnapshotMode};
 use checkmate_engine::report::RunReport;
 use checkmate_engine::session::RunSession;
 use checkmate_engine::state::ArrivalIndex;
@@ -122,15 +122,6 @@ pub struct Harness {
     /// `engine/tests/arrival_equivalence.rs`), so this is another
     /// oracle/benchmarking knob.
     pub arrival: ArrivalIndex,
-    /// Route every run that does not configure tiering itself through a
-    /// *passthrough* tiered store (`regen --profile tiered`): every tier
-    /// priced as the run's flat profile, maintenance off. Results are
-    /// identical to the flat store (property-tested bit-identical in
-    /// `engine/tests/tiering_equivalence.rs`; CI diffs the sweep JSON),
-    /// so this is the third oracle/benchmarking knob. Runs that set
-    /// `tiering` explicitly (the sweep's real tiered cells) are left
-    /// alone.
-    pub tier_oracle: bool,
     /// Persistent result cache (`regen --cache-dir`): completed
     /// [`RunReport`]s and MST cells keyed by their full config
     /// fingerprint survive across invocations.
@@ -154,7 +145,6 @@ impl Harness {
             queue: QueueBackend::default(),
             snapshot: SnapshotMode::default(),
             arrival: ArrivalIndex::default(),
-            tier_oracle: false,
             disk: None,
             workloads: Mutex::new(BTreeMap::new()),
         }
@@ -277,12 +267,11 @@ impl Harness {
             Wl::Cyclic => 1_200.0,
         };
         let scale = &self.scale;
-        let mut probe_cfg = EngineConfig {
+        let probe_cfg = EngineConfig {
             duration: scale.probe_duration,
             warmup: scale.probe_warmup,
             ..self.base_cfg(wl, protocol, parallelism)
         };
-        self.apply_tier_oracle(&mut probe_cfg);
         let search = MstSearch {
             lo: 20.0 * parallelism as f64,
             hi: per_worker_hi * parallelism as f64,
@@ -403,8 +392,8 @@ impl Harness {
     }
 
     /// [`Self::run_at_rate_uncached`] with a config tweak applied first
-    /// — how the storage benches time flat-vs-tiered cells through the
-    /// same persistent per-thread `RunSession` the probe loop uses.
+    /// — how the storage bench times its cell through the same
+    /// persistent per-thread `RunSession` the probe loop uses.
     #[allow(clippy::too_many_arguments)] // run-shape knobs, one call layer
     pub fn run_at_rate_uncached_with(
         &self,
@@ -418,18 +407,8 @@ impl Harness {
     ) -> RunReport {
         let mut cfg = self.run_cfg(wl, protocol, parallelism, total_rate, fail);
         tweak(&mut cfg);
-        self.apply_tier_oracle(&mut cfg);
         let workload = self.workload(wl, parallelism, skew);
         with_session(|session| session.run(&workload, cfg))
-    }
-
-    /// Apply the passthrough-tiering oracle to a finalized config (after
-    /// any experiment tweak, so explicitly tiered cells keep their real
-    /// ladder).
-    fn apply_tier_oracle(&self, cfg: &mut EngineConfig) {
-        if self.tier_oracle && cfg.tiering.is_none() {
-            cfg.tiering = Some(TierConfig::passthrough(cfg.storage));
-        }
     }
 
     /// The engine configuration of a steady/failure run — the single
@@ -470,7 +449,6 @@ impl Harness {
     ) -> RunReport {
         let mut cfg = self.run_cfg(wl, protocol, parallelism, total_rate, fail);
         tweak(&mut cfg);
-        self.apply_tier_oracle(&mut cfg);
         // Full run identity: workload + skew + every config field (the
         // Debug rendering covers them all — cost model, storage profile,
         // intervals, seed, rate bits). Identical identity ⇒ identical

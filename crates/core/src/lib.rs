@@ -13,9 +13,9 @@
 //!   watermarks;
 //! - [`recovery`] — the single home of the recovery-line rule both
 //!   planes call: the line per protocol (rollback propagation, paper
-//!   Algorithm 1, or the coordinated round line), the store objects it
-//!   pins, the in-flight ranges it replays, the checkpoints it discards,
-//!   and the reclamation floors it implies;
+//!   Algorithm 1, or the coordinated round line), the in-flight ranges
+//!   it replays, the checkpoints it discards, and the reclamation floors
+//!   it implies;
 //! - [`snapshot`] — incremental (content-defined-chunked) snapshot
 //!   manifests: planning, reassembly, and the store key conventions;
 //! - [`durable`] — checkpoint I/O over the pluggable storage subsystem
@@ -53,8 +53,8 @@ pub use fault::{BrownoutWindow, FaultPlan, KillEvent, StragglerWindow};
 pub use meta::{ChannelBook, CheckpointId, CheckpointKind, CheckpointMeta};
 pub use protocol::ProtocolKind;
 pub use recovery::{
-    channel_triples, coordinated_line, discard_after_line, line_pins, reclaim_floors,
-    recovery_line, replay_range, rollback_propagation, Metas, ReclaimFloors, RecoveryOutcome,
+    channel_triples, coordinated_line, discard_after_line, reclaim_floors, recovery_line,
+    replay_range, rollback_propagation, Metas, ReclaimFloors, RecoveryOutcome,
 };
 pub use snapshot::{
     assemble, plan_snapshot, split_chunks, ChunkRef, ChunkerConfig, IncrementalPolicy,

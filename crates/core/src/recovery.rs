@@ -9,16 +9,14 @@
 //!   protocols;
 //! - [`coordinated_line`] — the trivial recovery line of the coordinated
 //!   protocol: the latest round completed by every instance;
-//! - [`line_pins`], [`replay_range`], [`discard_after_line`] — what a
-//!   line reads from the store, replays from the channel logs, and
-//!   invalidates;
+//! - [`replay_range`], [`discard_after_line`] — what a line replays
+//!   from the channel logs and invalidates;
 //! - [`reclaim_floors`] — what a recovery line makes garbage: the
 //!   channel-log entries, determinants and checkpoints below it.
 
 use crate::ckpt_graph::{ChannelTriple, CheckpointGraph};
 use crate::meta::{CheckpointId, CheckpointMeta};
 use crate::protocol::ProtocolKind;
-use crate::snapshot;
 use checkmate_dataflow::graph::{ChannelIdx, InstanceIdx, PhysicalGraph};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -86,27 +84,6 @@ pub fn recovery_line(
         .map(|(_, m)| m.clone())
         .collect();
     rollback_propagation(&CheckpointGraph::build(dense, channels))
-}
-
-/// Every store object `line` can read: each member's whole-state key
-/// and all chunks its manifest references. The tiered store's pin set —
-/// the compactor never demotes what a failure right now would fetch.
-pub fn line_pins(line: &Line, metas: &Metas) -> BTreeSet<String> {
-    let mut pins = BTreeSet::new();
-    for &inst in line.keys() {
-        let meta = member(line, metas, inst);
-        if !meta.state_key.is_empty() {
-            pins.insert(meta.state_key.clone());
-        }
-        if let Some(man) = &meta.manifest {
-            pins.extend(
-                man.chunks
-                    .iter()
-                    .map(|c| snapshot::chunk_key(inst, c.owner, c.slot)),
-            );
-        }
-    }
-    pins
 }
 
 /// The in-flight range `(lo, hi]` recovery to `line` replays on channel
@@ -532,38 +509,5 @@ mod tests {
             .collect();
         assert_eq!(removed, vec!["ckpt/0/2", "ckpt/0/3"]);
         assert_eq!(metas.len(), 2);
-    }
-
-    #[test]
-    fn line_pins_cover_members_state_and_chunks_only() {
-        use crate::snapshot::{ChunkRef, SnapshotManifest};
-        let ckpt = |inst, index, key: &str, chunks: &[(u64, u32)]| {
-            let mut m = meta(inst, index, &[], &[]);
-            m.state_key = key.into();
-            m.manifest = (!chunks.is_empty()).then(|| SnapshotManifest {
-                total_len: 0,
-                chunks: chunks
-                    .iter()
-                    .map(|&(owner, slot)| ChunkRef {
-                        owner,
-                        slot,
-                        len: 8,
-                        hash: 0,
-                    })
-                    .collect(),
-            });
-            m
-        };
-        let metas = keyed([
-            ckpt(0, 1, "ckpt/0/1", &[]),
-            ckpt(0, 2, "ckpt/0/2", &[]),
-            ckpt(1, 1, "", &[(1, 0), (1, 1)]),
-            ckpt(1, 2, "", &[(1, 0), (2, 3)]),
-        ]);
-        let chunk = |owner, slot| snapshot::chunk_key(InstanceIdx(1), owner, slot);
-        assert_eq!(
-            line_pins(&line(&[(0, 1), (1, 2)]), &metas),
-            ["ckpt/0/1".to_string(), chunk(1, 0), chunk(2, 3)].into()
-        );
     }
 }

@@ -4,7 +4,7 @@ use crate::state::ArrivalIndex;
 use checkmate_core::{FaultPlan, IncrementalPolicy, ProtocolKind};
 use checkmate_dataflow::WorkerId;
 use checkmate_sim::{CostModel, QueueBackend, SimTime, MILLIS, SECONDS};
-use checkmate_storage::{StorageProfile, TierPolicy, TieredProfile};
+use checkmate_storage::StorageProfile;
 
 /// A failure to inject: kill `worker` at `at` (virtual time). The paper
 /// introduces a failure on the 18th second of each 60-second run (§VII-A).
@@ -52,51 +52,6 @@ impl SnapshotMode {
     }
 }
 
-/// Tiered checkpoint storage for an engine run: the store becomes a
-/// [`checkmate_storage::TieredBackend`] (hot ingest → warm layers →
-/// cold offload) and the engine schedules periodic
-/// `Ev::TierMaintain` events that run compaction against the same
-/// recovery-line pins the live runtime's compactor thread uses, pricing
-/// each pass's IO at the per-tier profiles.
-#[derive(Debug, Clone, Copy)]
-pub struct TierConfig {
-    /// Per-tier latency/bandwidth declarations; uploads are priced at
-    /// `tiers.hot`, recovery reads at the tier serving each chunk.
-    pub tiers: TieredProfile,
-    /// Compaction policy (seal capacity, warm retention, vacuum
-    /// threshold).
-    pub policy: TierPolicy,
-    /// Virtual time between compaction runs; `None` disables
-    /// maintenance entirely (everything stays hot — the passthrough
-    /// oracle shape).
-    pub maintenance_interval: Option<SimTime>,
-}
-
-impl TierConfig {
-    /// The production-shaped ladder (local-ssd → minio-lan → s3-wan)
-    /// with default policy, compacting every `interval` of virtual
-    /// time.
-    pub fn standard(interval: SimTime) -> Self {
-        Self {
-            tiers: TieredProfile::standard(),
-            policy: TierPolicy::default(),
-            maintenance_interval: Some(interval),
-        }
-    }
-
-    /// The oracle shape: every tier priced as `profile`, maintenance
-    /// off. A run under this config must be bit-identical to the same
-    /// run against the flat store with `profile` — the CI bench-smoke
-    /// diff enforces it.
-    pub fn passthrough(profile: StorageProfile) -> Self {
-        Self {
-            tiers: TieredProfile::flat(profile),
-            policy: TierPolicy::default(),
-            maintenance_interval: None,
-        }
-    }
-}
-
 /// Full configuration of one engine run.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -106,8 +61,9 @@ pub struct EngineConfig {
     pub protocol: ProtocolKind,
     /// Calibrated resource costs (CPU, network, control plane).
     pub cost: CostModel,
-    /// Declared performance of the durable checkpoint store. The engine
-    /// prices every checkpoint PUT and recovery GET from this profile —
+    /// Declared performance of the durable checkpoint store — one flat
+    /// object store, as in the paper. The engine prices every checkpoint
+    /// PUT and recovery GET from this profile —
     /// storage-sensitivity sweeps swap it for `StorageProfile::ram()`,
     /// `local_ssd()`, `s3_wan()`, … The default matches the cost-model
     /// constants the engine historically used (MinIO over the LAN).
@@ -185,11 +141,6 @@ pub struct EngineConfig {
     /// snapshot encoding on failure-free runs with exact-size
     /// accounting; `Full` keeps the materializing path as the oracle.
     pub snapshot_mode: SnapshotMode,
-    /// Tiered checkpoint storage (see [`TierConfig`]). `None` keeps the
-    /// flat store priced by `storage`. When set, `storage` should equal
-    /// `tiering.tiers.hot` so report-level profile accounting stays
-    /// consistent.
-    pub tiering: Option<TierConfig>,
 }
 
 impl Default for EngineConfig {
@@ -218,7 +169,6 @@ impl Default for EngineConfig {
             event_queue: QueueBackend::Ladder,
             arrival_index: ArrivalIndex::Calendar,
             snapshot_mode: SnapshotMode::Auto,
-            tiering: None,
         }
     }
 }

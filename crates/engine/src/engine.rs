@@ -16,17 +16,15 @@ use crate::workload::Workload;
 use bytes::Bytes;
 use checkmate_core::snapshot::ZeroBytes;
 use checkmate_core::{
-    channel_triples, discard_after_line, line_pins, recovery_line, replay_range, snapshot,
-    CheckpointId, CheckpointKind, CheckpointMeta, CoorAligner, DurableCheckpoints, MarkerAction,
-    ProtocolKind, RecoveryOutcome,
+    channel_triples, discard_after_line, recovery_line, replay_range, snapshot, CheckpointId,
+    CheckpointKind, CheckpointMeta, CoorAligner, DurableCheckpoints, MarkerAction, ProtocolKind,
+    RecoveryOutcome,
 };
 use checkmate_dataflow::graph::{ChannelIdx, EdgeKind, InstanceIdx};
 use checkmate_dataflow::ops::Digest;
 use checkmate_dataflow::{OpCtx, OpId, OpRole, PhysicalGraph, PortId, Record};
 use checkmate_sim::{derive_seed, EventQueue, SimRng, SimTime, MILLIS};
-use checkmate_storage::{
-    maintenance_io_ns, MemBackend, ObjectStore, SharedStore, Tier, TieredBackend, TRY_ATTEMPTS,
-};
+use checkmate_storage::{MemBackend, ObjectStore, SharedStore, TRY_ATTEMPTS};
 use checkmate_wal::{
     ChannelLog, DeterminantLog, EventStream, Schedule, SourceLog, DET_ENTRY_BYTES,
 };
@@ -132,11 +130,6 @@ pub(crate) enum Ev {
         line: BTreeMap<InstanceIdx, CheckpointId>,
     },
     LagProbe,
-    /// Periodic tiered-storage compaction (seal/vacuum/demote). A
-    /// storage-service event: it survives worker epochs — the store is
-    /// a separate service, and its maintenance does not die with a
-    /// worker — so the handler ignores the epoch guard.
-    TierMaintain,
 }
 
 /// A captured checkpoint travelling to durability: metadata plus the
@@ -169,10 +162,6 @@ pub struct Engine {
     logs: Vec<SourceLog<Arc<dyn EventStream>>>,
     rates_pp: Vec<f64>,
     store: SharedStore,
-    /// The typed handle behind `store` when `cfg.tiering` is set: the
-    /// maintenance events, tier-aware recovery pricing and per-tier
-    /// report stats all need more than the `StorageBackend` contract.
-    tiered: Option<Arc<TieredBackend>>,
     queue: EventQueue<(u32, Ev)>,
     now: SimTime,
     epoch: u32,
@@ -373,26 +362,10 @@ impl Engine {
         // Recycle the previous run's store when its backend supports an
         // in-place reset (objects cleared, key allocations pooled, stats
         // zeroed, profile adopted); otherwise construct fresh. Either
-        // way the run starts from an observationally empty store. A
-        // tiered run always constructs fresh (layer history is not
-        // recyclable) and leaves the arena's pooled flat store alone.
-        let (store, tiered) = match &cfg.tiering {
-            Some(tc) => {
-                let backend = Arc::new(TieredBackend::new(tc.tiers, tc.policy));
-                (
-                    ObjectStore::shared_with(Arc::clone(&backend) as _),
-                    Some(backend),
-                )
-            }
-            None => {
-                let store = match arena.store.take() {
-                    Some(s) if s.reset(storage_profile) => s,
-                    _ => ObjectStore::shared_with(Arc::new(MemBackend::with_profile(
-                        storage_profile,
-                    ))),
-                };
-                (store, None)
-            }
+        // way the run starts from an observationally empty store.
+        let store = match arena.store.take() {
+            Some(s) if s.reset(storage_profile) => s,
+            _ => ObjectStore::shared_with(Arc::new(MemBackend::with_profile(storage_profile))),
         };
         let snap_sized = cfg
             .snapshot_mode
@@ -405,7 +378,6 @@ impl Engine {
             logs,
             rates_pp,
             store,
-            tiered,
             snap_sized,
             fail_injected: replayable,
             zeros: std::mem::take(&mut arena.zeros),
@@ -495,9 +467,6 @@ impl Engine {
             self.push_at(0, Ev::Wake { worker: w as u32 });
         }
         self.push_at(250 * MILLIS, Ev::LagProbe);
-        if let Some(interval) = self.cfg.tiering.and_then(|t| t.maintenance_interval) {
-            self.push_at(interval, Ev::TierMaintain);
-        }
     }
 
     /// Execute the run to completion and produce the report.
@@ -722,7 +691,6 @@ impl Engine {
                 self.on_restart(line);
             }
             Ev::LagProbe => self.on_lag_probe(),
-            Ev::TierMaintain => self.on_tier_maintain(),
         }
     }
 
@@ -1676,76 +1644,12 @@ impl Engine {
         )
     }
 
-    // ------------------------------------------------------------------
-    // tiered storage
-    // ------------------------------------------------------------------
-
-    /// One background compaction cycle of the tiered store: refresh the
-    /// pin set to everything reachable from the *current* recovery line
-    /// (state objects plus every chunk their manifests reference), run
-    /// seal/vacuum/demote, and charge the pass's modeled IO. The next
-    /// cycle starts one interval later — or after the IO completes,
-    /// whichever is longer, so a slow pass cannot overlap itself.
-    fn on_tier_maintain(&mut self) {
-        let Some(backend) = self.tiered.clone() else {
-            return;
-        };
-        backend.set_pins(line_pins(&self.current_line().line, &self.coord.metas));
-        let rep = backend.maintain();
-        let io = maintenance_io_ns(&backend.tiers(), &rep);
-        backend.note_io_ns(io);
-        let interval = self
-            .cfg
-            .tiering
-            .and_then(|t| t.maintenance_interval)
-            .expect("TierMaintain only scheduled with an interval");
-        self.push_at(self.now + interval.max(io), Ev::TierMaintain);
-    }
-
-    /// Modeled cost of fetching one checkpoint's state at recovery.
-    /// Against a flat store this is a single pipelined GET at the store
-    /// profile; against a tiered store the fetched objects are grouped
-    /// by the tier currently serving them and each group is priced at
-    /// its tier's profile. When every object sits in one tier the
-    /// grouped sum reduces exactly to the flat formula — which is what
-    /// makes the passthrough oracle bit-identical to the flat store.
+    /// Modeled cost of fetching one checkpoint's state at recovery: a
+    /// single pipelined GET at the store profile.
     fn state_fetch_ns(&self, meta: &CheckpointMeta) -> u64 {
-        let Some(backend) = &self.tiered else {
-            return self
-                .store
-                .profile()
-                .get_many_ns(meta.fetch_objects(), meta.state_bytes as usize);
-        };
-        let tiers = backend.tiers();
-        // (objects, bytes) per tier, indexed by `Tier as usize`.
-        let mut groups = [(0usize, 0usize); 3];
-        match &meta.manifest {
-            Some(man) if !man.chunks.is_empty() => {
-                for c in &man.chunks {
-                    let key = snapshot::chunk_key(meta.id.instance, c.owner, c.slot);
-                    let t = backend.tier_of(&key).unwrap_or(Tier::Hot) as usize;
-                    groups[t].0 += 1;
-                    groups[t].1 += c.len as usize;
-                }
-            }
-            _ if !meta.state_key.is_empty() => {
-                let t = backend.tier_of(&meta.state_key).unwrap_or(Tier::Hot) as usize;
-                groups[t] = (1, meta.state_bytes as usize);
-            }
-            // Zero objects to fetch: keep the flat formula (a grouped
-            // sum over no groups would drop the base latency).
-            _ => {
-                return tiers
-                    .hot
-                    .get_many_ns(meta.fetch_objects(), meta.state_bytes as usize)
-            }
-        }
-        [Tier::Hot, Tier::Warm, Tier::Cold]
-            .into_iter()
-            .zip(groups)
-            .filter(|&(_, (objects, _))| objects > 0)
-            .map(|(t, (objects, bytes))| tiers.profile_of(t).get_many_ns(objects, bytes))
-            .sum()
+        self.store
+            .profile()
+            .get_many_ns(meta.fetch_objects(), meta.state_bytes as usize)
     }
 
     // ------------------------------------------------------------------
@@ -1829,8 +1733,7 @@ impl Engine {
                 ready += self.cfg.cost.worker_respawn_ns;
             }
             // State fetches per instance: one GET for a whole snapshot,
-            // a pipelined chunk fetch for an incremental one — priced
-            // per serving tier when the store is tiered.
+            // a pipelined chunk fetch for an incremental one.
             for inst in &self.workers[w].instances {
                 let id = line[&inst.idx];
                 let meta = &self.coord.metas[&(inst.idx, id.index)];
@@ -2214,7 +2117,6 @@ impl Engine {
             store_profile: self.store.profile().name,
             store_objects_live: self.store.object_count() as u64,
             store_bytes_live: self.store.total_bytes(),
-            tier: self.tiered.as_ref().map(|t| t.stats()),
             sink_digest: digest,
             output_duplicates: self.metrics.sink_outputs_total.saturating_sub(digest.count),
             events: self.events,
@@ -2254,12 +2156,7 @@ impl Engine {
         arena.chan_route = self.chan_route;
         self.ctx.now = 0;
         arena.ctx = self.ctx;
-        // A tiered store never entered the pool (its arena slot was left
-        // alone at construction) and is not worth pooling: layer history
-        // cannot be reset in place.
-        if self.tiered.is_none() {
-            arena.store = Some(self.store);
-        }
+        arena.store = Some(self.store);
         arena.zeros = self.zeros;
         report
     }

@@ -24,7 +24,7 @@ pub mod testkit;
 pub mod workload;
 
 pub use arena::SimArena;
-pub use config::{EngineConfig, FailureSpec, SnapshotMode, TierConfig};
+pub use config::{EngineConfig, FailureSpec, SnapshotMode};
 pub use engine::Engine;
 pub use msg::{hmnr_wire_bytes, MsgKind, NetMsg, BCS_WIRE_BYTES, MARKER_BYTES};
 pub use report::{percentile_of, LatencySeries, Outcome, RunReport, SecondStats};

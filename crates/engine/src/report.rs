@@ -4,7 +4,7 @@ use checkmate_core::ProtocolKind;
 use checkmate_dataflow::ops::Digest;
 use checkmate_dataflow::{Dec, Enc};
 use checkmate_sim::{to_secs, SimTime};
-use checkmate_storage::{StorageProfile, StoreStats, TierStats, TieredStats};
+use checkmate_storage::{StorageProfile, StoreStats};
 
 /// Latency percentiles of one one-second bucket (paper Figs. 9–10 plot
 /// these per second).
@@ -132,10 +132,6 @@ pub struct RunReport {
     pub store_objects_live: u64,
     /// Bytes alive in the store at run end.
     pub store_bytes_live: u64,
-    /// Per-tier residency, reads and compaction counters when the run
-    /// used a tiered store (`EngineConfig::tiering`); `None` for flat
-    /// stores.
-    pub tier: Option<TieredStats>,
 
     // ---- exactly-once verification ----
     /// Order-independent digest of everything the sinks processed
@@ -284,17 +280,6 @@ impl RunReport {
         enc.str(self.store_profile);
         enc.u64(self.store_objects_live);
         enc.u64(self.store_bytes_live);
-        match &self.tier {
-            Some(t) => {
-                enc.bool(true);
-                for v in tier_fields(t) {
-                    enc.u64(v);
-                }
-            }
-            None => {
-                enc.bool(false);
-            }
-        }
         enc.u64(self.sink_digest.count);
         enc.u64(self.sink_digest.acc);
         enc.u64(self.output_duplicates);
@@ -386,17 +371,6 @@ impl RunReport {
         let store_profile = StorageProfile::by_name(dec.str().ok()?)?.name;
         let store_objects_live = dec.u64().ok()?;
         let store_bytes_live = dec.u64().ok()?;
-        let tier = if dec.bool().ok()? {
-            let mut t = TieredStats::default();
-            let mut vals = [0u64; TIER_FIELD_COUNT];
-            for v in &mut vals {
-                *v = dec.u64().ok()?;
-            }
-            set_tier_fields(&mut t, vals);
-            Some(t)
-        } else {
-            None
-        };
         let sink_digest = Digest {
             count: dec.u64().ok()?,
             acc: dec.u64().ok()?,
@@ -436,75 +410,11 @@ impl RunReport {
             store_profile,
             store_objects_live,
             store_bytes_live,
-            tier,
             sink_digest,
             output_duplicates,
             events,
         })
     }
-}
-
-/// Flattened field order of [`TieredStats`] for the cache codec (the
-/// inverse is [`set_tier_fields`] — keep them in lockstep).
-const TIER_FIELD_COUNT: usize = 25;
-
-fn tier_fields(t: &TieredStats) -> [u64; TIER_FIELD_COUNT] {
-    let per = |s: &TierStats| [s.objects, s.bytes, s.gets, s.bytes_got];
-    let [h0, h1, h2, h3] = per(&t.hot);
-    let [w0, w1, w2, w3] = per(&t.warm);
-    let [c0, c1, c2, c3] = per(&t.cold);
-    [
-        h0,
-        h1,
-        h2,
-        h3,
-        w0,
-        w1,
-        w2,
-        w3,
-        c0,
-        c1,
-        c2,
-        c3,
-        t.hot_peak_bytes,
-        t.seals,
-        t.sealed_objects,
-        t.sealed_bytes,
-        t.dedup_saved_bytes,
-        t.demotions,
-        t.demoted_objects,
-        t.demoted_bytes,
-        t.vacuums,
-        t.rewritten_bytes,
-        t.reclaimed_bytes,
-        t.maintenance_runs,
-        t.maintenance_io_ns,
-    ]
-}
-
-fn set_tier_fields(t: &mut TieredStats, v: [u64; TIER_FIELD_COUNT]) {
-    let per = |s: &mut TierStats, f: &[u64]| {
-        s.objects = f[0];
-        s.bytes = f[1];
-        s.gets = f[2];
-        s.bytes_got = f[3];
-    };
-    per(&mut t.hot, &v[0..4]);
-    per(&mut t.warm, &v[4..8]);
-    per(&mut t.cold, &v[8..12]);
-    t.hot_peak_bytes = v[12];
-    t.seals = v[13];
-    t.sealed_objects = v[14];
-    t.sealed_bytes = v[15];
-    t.dedup_saved_bytes = v[16];
-    t.demotions = v[17];
-    t.demoted_objects = v[18];
-    t.demoted_bytes = v[19];
-    t.vacuums = v[20];
-    t.rewritten_bytes = v[21];
-    t.reclaimed_bytes = v[22];
-    t.maintenance_runs = v[23];
-    t.maintenance_io_ns = v[24];
 }
 
 fn protocol_tag(p: ProtocolKind) -> u8 {
@@ -727,7 +637,6 @@ mod tests {
             store_profile: StorageProfile::s3_wan().name,
             store_objects_live: 21,
             store_bytes_live: 22,
-            tier: None,
             sink_digest: Digest { count: 23, acc: 24 },
             output_duplicates: 1,
             events: 1_000_000,
@@ -738,19 +647,6 @@ mod tests {
         // Corruption → miss, not garbage.
         assert!(RunReport::from_cache_bytes(&bytes[..bytes.len() - 1]).is_none());
         assert!(RunReport::from_cache_bytes(b"junk").is_none());
-
-        // Tiered run: every TieredStats field must survive the codec
-        // (distinct values per field so a swapped pair would be caught).
-        let mut stats = TieredStats::default();
-        set_tier_fields(&mut stats, std::array::from_fn(|i| 1000 + i as u64));
-        let tiered = RunReport {
-            tier: Some(stats),
-            ..report
-        };
-        let bytes = tiered.to_cache_bytes();
-        let back = RunReport::from_cache_bytes(&bytes).expect("tiered round trip");
-        assert_eq!(format!("{tiered:?}"), format!("{back:?}"));
-        assert!(RunReport::from_cache_bytes(&bytes[..bytes.len() - 1]).is_none());
     }
 
     #[test]

@@ -5,12 +5,11 @@
 
 use checkmate_core::{FaultPlan, KillEvent, ProtocolKind};
 use checkmate_dataflow::WorkerId;
-use checkmate_engine::config::{EngineConfig, FailureSpec, TierConfig};
+use checkmate_engine::config::{EngineConfig, FailureSpec};
 use checkmate_engine::engine::Engine;
 use checkmate_engine::report::Outcome;
 use checkmate_engine::testkit::counting_pipeline;
 use checkmate_sim::{MILLIS, SECONDS};
-use checkmate_storage::{TierPolicy, TieredProfile};
 use proptest::prelude::*;
 
 fn bounded(protocol: ProtocolKind, seed: u64, failure: Option<FailureSpec>) -> EngineConfig {
@@ -89,10 +88,7 @@ proptest! {
     /// Repeated kills at arbitrary instants and victims: exactly-once
     /// still holds, and the global recovery line never moves backwards
     /// (each computed line's minimum checkpoint index is ≥ its
-    /// predecessor's). Runs both flat and under an aggressively
-    /// compacting tiered store — the latter additionally exercises
-    /// recovery-line pins: compaction between the kills must never
-    /// reclaim state a later recovery line needs.
+    /// predecessor's).
     #[test]
     fn repeated_kills_keep_lines_monotone_and_exactly_once(
         proto_i in 0usize..4,
@@ -101,7 +97,6 @@ proptest! {
         v1 in 0u32..3,
         v2 in 0u32..3,
         seed in any::<u64>(),
-        tiered in any::<bool>(),
     ) {
         let protocol = [
             ProtocolKind::Coordinated,
@@ -115,15 +110,6 @@ proptest! {
         ];
         kills.sort_by_key(|k| (k.at_ns, k.worker));
         let storm = FaultPlan { kills, ..FaultPlan::default() };
-        let tiering = tiered.then_some(TierConfig {
-            tiers: TieredProfile::standard(),
-            policy: TierPolicy {
-                hot_capacity_bytes: 4 << 10,
-                warm_retain_layers: 0,
-                vacuum_dead_fraction: 0.2,
-            },
-            maintenance_interval: Some(300 * MILLIS),
-        });
         let clean = Engine::new(
             &counting_pipeline(3),
             bounded(protocol, seed, None),
@@ -132,7 +118,6 @@ proptest! {
             &counting_pipeline(3),
             EngineConfig {
                 storm: Some(storm),
-                tiering,
                 ..bounded(protocol, seed, None)
             },
         ).run();
@@ -146,8 +131,8 @@ proptest! {
         prop_assert_eq!(
             stormy.sink_digest,
             clean.sink_digest,
-            "exactly-once violated for {} (kills {}ms/w{} + {}ms/w{}, tiered={}): {}",
-            protocol, first_ms, v1, first_ms + gap_ms, v2, tiered,
+            "exactly-once violated for {} (kills {}ms/w{} + {}ms/w{}): {}",
+            protocol, first_ms, v1, first_ms + gap_ms, v2,
             stormy.summary()
         );
         prop_assert!(

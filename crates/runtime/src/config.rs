@@ -10,40 +10,8 @@
 //! single-file runtime so existing callers behave identically.
 
 use checkmate_core::{FaultPlan, IncrementalPolicy, ProtocolKind};
-use checkmate_storage::{SharedStore, TierPolicy, TieredProfile};
+use checkmate_storage::SharedStore;
 use std::time::Duration;
-
-/// Tiered checkpoint storage for a live run: the durable store becomes
-/// a [`checkmate_storage::TieredBackend`] and the background uploader
-/// thread doubles as the compactor, running seal/vacuum/demote every
-/// `maintain_every` of wall time between upload jobs — the same passes
-/// the virtual-time engine schedules as `TierMaintain` events, against
-/// the same recovery-line pins (maintained by the coordinator), so both
-/// planes agree on tier state.
-#[derive(Debug, Clone, Copy)]
-pub struct LiveTiering {
-    /// Per-tier profiles. Live PUT/GET calls go through these backends'
-    /// declared profiles only for accounting — wall-clock cost is the
-    /// real work — but the tier layout (what seals, demotes, stays hot)
-    /// is identical to the engine's.
-    pub tiers: TieredProfile,
-    /// Compaction policy (seal capacity, warm retention, vacuum
-    /// threshold).
-    pub policy: TierPolicy,
-    /// Wall-clock period between compactor passes in the uploader
-    /// thread.
-    pub maintain_every: Duration,
-}
-
-impl Default for LiveTiering {
-    fn default() -> Self {
-        Self {
-            tiers: TieredProfile::standard(),
-            policy: TierPolicy::default(),
-            maintain_every: Duration::from_millis(50),
-        }
-    }
-}
 
 /// Wall-clock run configuration.
 #[derive(Clone)]
@@ -74,19 +42,15 @@ pub struct LiveConfig {
     /// scheduled instants and *detected* by heartbeat silence; brownout
     /// windows wrap the default in-memory store in a
     /// [`checkmate_storage::PerturbedBackend`] (incompatible with a
-    /// caller-supplied [`LiveConfig::store`] or tiering).
+    /// caller-supplied [`LiveConfig::store`]).
     pub storm: Option<FaultPlan>,
     /// Hard wall-clock cap.
     pub timeout: Duration,
     /// Durable store to checkpoint into. `None` = a fresh in-memory
     /// store; pass a `FileBackend`-backed store for durability across
     /// process restarts, or a `PerturbedBackend` for storage-stress
-    /// scenarios. Mutually exclusive with [`LiveConfig::tiering`],
-    /// which constructs its own tiered store.
+    /// scenarios.
     pub store: Option<SharedStore>,
-    /// Tiered checkpoint storage (see [`LiveTiering`]); `None` keeps
-    /// the flat store.
-    pub tiering: Option<LiveTiering>,
     /// Incremental (chunked) checkpoints; `None` = whole snapshots.
     pub incremental: Option<IncrementalPolicy>,
     /// Bounded per-worker inbox capacity (messages). A full inbox makes
@@ -140,7 +104,6 @@ impl Default for LiveConfig {
             storm: None,
             timeout: Duration::from_secs(30),
             store: None,
-            tiering: None,
             incremental: None,
             inbox_capacity: 4_096,
             batch_max: 256,

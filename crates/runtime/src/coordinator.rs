@@ -26,16 +26,14 @@ use crate::wire::Wire;
 use crate::worker::worker_main;
 use crate::{report::LiveReport, Shared};
 use checkmate_core::{
-    channel_triples, discard_after_line, line_pins, reclaim_floors, recovery_line, replay_range,
+    channel_triples, discard_after_line, reclaim_floors, recovery_line, replay_range,
     ChannelTriple, CheckpointId, CheckpointMeta, CicPiggyback, DurableCheckpoints, FaultPlan,
     HmnrPiggyback, KillEvent, Metas, ProtocolKind,
 };
 use checkmate_dataflow::graph::InstanceIdx;
 use checkmate_dataflow::ops::Digest;
 use checkmate_dataflow::{LogicalGraph, OpId, OpRole, Record};
-use checkmate_storage::{
-    Brownout, MemBackend, ObjectStore, Perturbation, PerturbedBackend, TieredBackend,
-};
+use checkmate_storage::{Brownout, MemBackend, ObjectStore, Perturbation, PerturbedBackend};
 use checkmate_wal::{ChannelLog, DeterminantLog, EventStream};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
@@ -103,29 +101,21 @@ pub fn run_live(
         "live parallelism must be in 1..=64 (quiescence mask is a u64)"
     );
     assert!(
-        cfg.store.is_none() || cfg.tiering.is_none(),
-        "LiveConfig::store and LiveConfig::tiering are mutually exclusive: \
-         tiering constructs its own tiered store"
-    );
-    assert!(
         cfg.storm.is_none() || cfg.kill_worker.is_none(),
         "LiveConfig::storm generalizes kill_worker; set at most one"
     );
     if let Some(plan) = &cfg.storm {
         plan.validate(cfg.parallelism);
         assert!(
-            plan.brownouts.is_empty() || (cfg.store.is_none() && cfg.tiering.is_none()),
+            plan.brownouts.is_empty() || cfg.store.is_none(),
             "storm brownouts wrap the default in-memory store and are \
-             incompatible with a caller-supplied store or tiering"
+             incompatible with a caller-supplied store"
         );
     }
     let pg = graph.expand(cfg.parallelism);
     let n_channels = pg.n_channels();
     let n_instances = pg.n_instances();
     let start = Instant::now();
-    let tiered = cfg
-        .tiering
-        .map(|t| Arc::new(TieredBackend::new(t.tiers, t.policy)));
     // Brownout windows from the fault plan wrap the store in a
     // perturbation decorator whose clock is anchored at run start —
     // the same timeline the plan's kills and stragglers are scheduled
@@ -158,11 +148,9 @@ pub fn run_live(
             )))
         });
     let shared = Arc::new(Shared {
-        store: match (&tiered, storm_store) {
-            (Some(b), _) => ObjectStore::shared_with(Arc::clone(b) as _),
-            (None, Some(s)) => s,
-            (None, None) => cfg.store.clone().unwrap_or_else(ObjectStore::shared),
-        },
+        store: storm_store
+            .or_else(|| cfg.store.clone())
+            .unwrap_or_else(ObjectStore::shared),
         logs: (0..n_channels)
             .map(|_| Mutex::new(ChannelLog::new()))
             .collect(),
@@ -199,9 +187,8 @@ pub fn run_live(
     let uploader = {
         let store = Arc::clone(&shared.store);
         let note = note_tx.clone();
-        let tier = tiered.clone().zip(cfg.tiering.map(|t| t.maintain_every));
         let stats = Arc::clone(&up_stats);
-        std::thread::spawn(move || uploader_main(store, up_rx, note, start, tier, stats))
+        std::thread::spawn(move || uploader_main(store, up_rx, note, start, stats))
     };
     let mut handles = Vec::new();
     for w in 0..cfg.parallelism {
@@ -222,7 +209,7 @@ pub fn run_live(
     }
 
     let report = coordinate(
-        &cfg, &shared, &ctrl_tx, &inboxes, &note_rx, &up_tx, &quiet, &hb, start, &tiered, &up_stats,
+        &cfg, &shared, &ctrl_tx, &inboxes, &note_rx, &up_tx, &quiet, &hb, start, &up_stats,
     );
     for h in handles {
         h.join().expect("worker thread");
@@ -230,19 +217,6 @@ pub fn run_live(
     drop(up_tx); // last sender gone → uploader drains its queue and exits
     uploader.join().expect("uploader thread");
     report
-}
-
-/// Re-pin every object the recovery line `line` can read, so the
-/// compactor (in the uploader thread) never demotes a chunk a failure
-/// right now would need below its read-cost budget.
-fn refresh_pins(
-    tiered: &Option<Arc<TieredBackend>>,
-    line: &BTreeMap<InstanceIdx, CheckpointId>,
-    metas: &Metas,
-) {
-    if let Some(backend) = tiered {
-        backend.set_pins(line_pins(line, metas));
-    }
 }
 
 /// Recovery-line-driven reclamation for the message-logging protocols
@@ -322,7 +296,6 @@ fn coordinate(
     quiet: &Arc<AtomicU64>,
     hb: &Arc<Vec<AtomicU64>>,
     start: Instant,
-    tiered: &Option<Arc<TieredBackend>>,
     up_stats: &Arc<UploaderStats>,
 ) -> LiveReport {
     let pg = &shared.pg;
@@ -381,15 +354,11 @@ fn coordinate(
             }
         }
         // The recovery line only moves when a checkpoint lands, so it is
-        // computed then, once, for both of its consumers: the pin set
-        // and reclamation. Not throttled further: reclaiming an interval
-        // late doubles the retained window.
-        if metas_dirty && (reclaims || tiered.is_some()) {
+        // computed then, once. Not throttled further: reclaiming an
+        // interval late doubles the retained window.
+        if metas_dirty && reclaims {
             let line = recovery_line(cfg.protocol, &metas, &triples).line;
-            refresh_pins(tiered, &line, &metas);
-            if reclaims {
-                reclaimer.reclaim(shared, &triples, &line, &metas);
-            }
+            reclaimer.reclaim(shared, &triples, &line, &metas);
         }
         if cfg.protocol == ProtocolKind::Coordinated && start.elapsed() >= next_round {
             round += 1;
@@ -422,7 +391,6 @@ fn coordinate(
                     up_tx,
                     &mut metas,
                     cur_epoch,
-                    tiered,
                     start,
                     &mut plan_kills,
                     &mut down,
@@ -519,9 +487,7 @@ fn coordinate(
         ckpt_objects_reclaimed: reclaimer.ckpt_objects,
         max_log_entries_retained: reclaimer.max_log_entries_retained,
         ckpts_deferred: up_stats.ckpts_deferred.load(Ordering::Relaxed),
-        uploader_idle_wakeups: up_stats.idle_wakeups.load(Ordering::Relaxed),
         store: shared.store.stats(),
-        tier: tiered.as_ref().map(|b| b.stats()),
     }
 }
 
@@ -564,7 +530,6 @@ fn recover(
     up_tx: &Sender<UploadMsg>,
     metas: &mut Metas,
     cur_epoch: u32,
-    tiered: &Option<Arc<TieredBackend>>,
     start: Instant,
     plan_kills: &mut VecDeque<KillEvent>,
     down: &mut Vec<u32>,
@@ -622,12 +587,6 @@ fn recover(
         for m in discard_after_line(metas, &line) {
             durable.delete_checkpoint(&m);
         }
-        // The surviving metas ARE the restore set: pin them before the
-        // compactor (still running in the uploader thread) gets another
-        // pass, so restore GETs below read cold objects only when the
-        // line genuinely lives there.
-        refresh_pins(tiered, &line, metas);
-
         // Restore every worker. Workers arm their determinant-ordered
         // replay themselves from the shared logs (`meta.det_pos()`
         // onward).

@@ -38,7 +38,7 @@ mod uploader;
 mod wire;
 mod worker;
 
-pub use config::{LiveConfig, LiveTiering};
+pub use config::LiveConfig;
 pub use coordinator::run_live;
 pub use report::LiveReport;
 

@@ -9,7 +9,7 @@
 //! never as unbounded queue growth.
 
 use checkmate_dataflow::ops::Digest;
-use checkmate_storage::{StoreStats, TieredStats};
+use checkmate_storage::StoreStats;
 use std::time::Duration;
 
 /// Result of a live run.
@@ -73,36 +73,20 @@ pub struct LiveReport {
     /// acked durable and recovery lines skip past it (graceful
     /// degradation instead of a stalled upload thread).
     pub ckpts_deferred: u64,
-    /// Times the uploader's maintenance timer fired with no work to do
-    /// (no upload job, no-op compaction pass). Bounded by the idle
-    /// backoff — a run that parks for seconds must not spin thousands of
-    /// wakeups.
-    pub uploader_idle_wakeups: u64,
     /// Durable-store operation counters: puts/gets, retries and backoff
     /// time absorbed by transient faults, deferred puts.
     pub store: StoreStats,
-    /// Tiered-store accounting (residency per tier, compaction
-    /// counters) when the run used [`crate::LiveTiering`]; `None` for
-    /// flat stores.
-    pub tier: Option<TieredStats>,
 }
 
 impl LiveReport {
     /// One-line human summary (bench/CI output).
     pub fn summary(&self) -> String {
-        let tier = match &self.tier {
-            Some(t) => format!(
-                ", tiers h/w/c {}/{}/{} obj ({} seals, {} demotions)",
-                t.hot.objects, t.warm.objects, t.cold.objects, t.seals, t.demotions
-            ),
-            None => String::new(),
-        };
         format!(
             "{} sink records (digest {:016x}/{}), {} ckpts ({} deferred), \
              recoveries={}, p50 {:?}, {:.0} ev/s over {:?}, inbox≤{}, \
              pending≤{}, dets={}, replayed={}, staged={}/{} flushes, \
              reclaimed {} log entries (≤{} retained)/{} dets/{} ckpt objects, \
-             store retries {}+{}{}",
+             store retries {}+{}",
             self.sink_records,
             self.sink_digest.acc,
             self.sink_digest.count,
@@ -124,7 +108,6 @@ impl LiveReport {
             self.ckpt_objects_reclaimed,
             self.store.put_retries,
             self.store.get_retries,
-            tier,
         )
     }
 }

@@ -16,32 +16,19 @@
 //! worker is paused (no new jobs), an acked flush proves nothing is in
 //! flight, so no discarded-timeline object can appear in the store after
 //! the rollback.
-//!
-//! Under tiered storage this thread also hosts the **compactor**:
-//! between upload jobs it runs one seal/vacuum/demote pass every
-//! `LiveTiering::maintain_every` of wall time — the live counterpart of
-//! the engine's `TierMaintain` events, against the same recovery-line
-//! pins (the coordinator refreshes them as checkpoints complete).
-//! Running compaction here, not on a worker, keeps it off the data
-//! path — the same "background scavenging" placement as the upload
-//! itself — and serializes it with PUTs so a seal never races a job's
-//! objects into a half-sealed hot tier.
 
 use crate::coordinator::Note;
 use checkmate_core::{CheckpointMeta, DurableCheckpoints};
-use checkmate_storage::{SharedStore, TieredBackend};
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
+use checkmate_storage::SharedStore;
+use crossbeam::channel::{Receiver, Sender};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Uploader-side health counters, read by the coordinator into the
 /// final [`crate::LiveReport`].
 #[derive(Default)]
 pub(crate) struct UploaderStats {
-    /// Maintenance-timer wakeups that found nothing to do (no job, no-op
-    /// compaction pass). The idle backoff keeps this bounded.
-    pub idle_wakeups: AtomicU64,
     /// Whole-snapshot checkpoints dropped because a PUT exhausted the
     /// store's bounded retry budget (brownout degradation).
     pub ckpts_deferred: AtomicU64,
@@ -64,53 +51,17 @@ pub(crate) enum UploadMsg {
 }
 
 /// The uploader thread body: PUTs snapshot objects, persists the meta,
-/// then acks the durable checkpoint to the coordinator; with `tier`
-/// set, runs a compaction pass whenever `maintain_every` elapses with
-/// no job in the queue. Exits when every job sender has hung up.
+/// then acks the durable checkpoint to the coordinator. Exits when
+/// every job sender has hung up.
 pub(crate) fn uploader_main(
     store: SharedStore,
     jobs: Receiver<UploadMsg>,
     note: Sender<Note>,
     start: Instant,
-    tier: Option<(Arc<TieredBackend>, Duration)>,
     stats: Arc<UploaderStats>,
 ) {
     let durable = DurableCheckpoints::new(store);
-    let mut next_maintain = tier.as_ref().map(|(_, every)| Instant::now() + *every);
-    // Consecutive no-op maintenance passes; each doubles the timer (up
-    // to 64×) so an idle uploader parks instead of spinning wakeups at
-    // the raw `maintain_every` cadence. Any job or productive pass
-    // resets the cadence.
-    let mut idle_streak: u32 = 0;
-    loop {
-        let msg = if let (Some((backend, every)), Some(at)) = (&tier, next_maintain) {
-            match jobs.recv_timeout(at.saturating_duration_since(Instant::now())) {
-                Ok(msg) => {
-                    idle_streak = 0;
-                    next_maintain = Some(Instant::now() + *every);
-                    msg
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    let t0 = Instant::now();
-                    let rep = backend.maintain();
-                    if rep.is_noop() {
-                        stats.idle_wakeups.fetch_add(1, Ordering::Relaxed);
-                        idle_streak = (idle_streak + 1).min(6);
-                    } else {
-                        backend.note_io_ns(t0.elapsed().as_nanos() as u64);
-                        idle_streak = 0;
-                    }
-                    next_maintain = Some(Instant::now() + *every * (1 << idle_streak));
-                    continue;
-                }
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        } else {
-            match jobs.recv() {
-                Ok(msg) => msg,
-                Err(_) => break,
-            }
-        };
+    while let Ok(msg) = jobs.recv() {
         match msg {
             UploadMsg::Job(UploadJob {
                 epoch,

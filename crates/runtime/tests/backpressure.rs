@@ -15,8 +15,7 @@ use checkmate_dataflow::ops::{Digest, PassThroughOp};
 use checkmate_dataflow::{
     DecodeError, EdgeKind, GraphBuilder, OpCtx, Operator, PortId, Record, Value,
 };
-use checkmate_runtime::{run_live, LiveConfig, LiveTiering};
-use checkmate_storage::{TierPolicy, TieredProfile};
+use checkmate_runtime::{run_live, LiveConfig};
 use checkmate_wal::EventStream;
 use std::sync::Arc;
 use std::time::Duration;
@@ -161,69 +160,5 @@ fn slow_sink_bounds_inbox_memory_and_loses_nothing() {
     panic!(
         "backpressure never engaged in 3 runs (no full inbox + parked wire): {}",
         last.expect("ran at least once").summary()
-    );
-}
-
-/// The uploader's maintenance timer must not busy-spin: with a 2 ms
-/// compaction cadence and a mostly-idle compactor, the naive
-/// `recv_timeout` loop would wake `elapsed / 2 ms` times doing nothing.
-/// The idle backoff doubles the timer on consecutive no-op passes (up
-/// to 64×), so no-op wakeups stay a small fraction of that — here the
-/// slow sink stretches the run long enough that the difference is
-/// unambiguous.
-#[test]
-fn idle_uploader_backs_off_instead_of_spinning() {
-    const PARALLELISM: u32 = 2;
-    const LIMIT: u64 = 1_200;
-
-    let mut b = GraphBuilder::new();
-    let src = b.source("src", 0, 120_000, Arc::new(|_| Box::new(PassThroughOp)));
-    let sink = b.sink(
-        "slow_sink",
-        90_000,
-        Arc::new(|_| {
-            Box::new(SlowDigestSink {
-                digest: Digest::default(),
-                per_record: Duration::from_micros(100),
-            })
-        }),
-    );
-    b.connect(src, sink, EdgeKind::Shuffle);
-    let graph = b.build().expect("graph");
-
-    let r = run_live(
-        &graph,
-        vec![Arc::new(FloodStream {
-            partitions: PARALLELISM,
-        })],
-        LiveConfig {
-            parallelism: PARALLELISM,
-            protocol: ProtocolKind::Uncoordinated,
-            rate_per_partition: 1_000_000.0,
-            records_per_partition: LIMIT,
-            checkpoint_interval: Duration::from_millis(200),
-            timeout: Duration::from_secs(60),
-            tiering: Some(LiveTiering {
-                tiers: TieredProfile::standard(),
-                policy: TierPolicy::default(),
-                maintain_every: Duration::from_millis(2),
-            }),
-            ..LiveConfig::default()
-        },
-    );
-
-    assert_eq!(
-        r.sink_digest.count,
-        LIMIT * PARALLELISM as u64,
-        "lost records: {}",
-        r.summary()
-    );
-    let naive = (r.elapsed.as_millis() / 2) as u64;
-    assert!(
-        r.uploader_idle_wakeups < naive / 4 + 16,
-        "idle uploader spun {} no-op wakeups over {:?} (naive cadence \
-         would be ~{naive}) — the backoff is not engaging",
-        r.uploader_idle_wakeups,
-        r.elapsed
     );
 }

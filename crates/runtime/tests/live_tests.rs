@@ -4,8 +4,7 @@
 use checkmate_core::ProtocolKind;
 use checkmate_dataflow::ops::{DigestSinkOp, KeyedCounterOp, PassThroughOp};
 use checkmate_dataflow::{EdgeKind, GraphBuilder, LogicalGraph, Record, Value};
-use checkmate_runtime::{run_live, LiveConfig, LiveTiering};
-use checkmate_storage::{TierPolicy, TieredProfile};
+use checkmate_runtime::{run_live, LiveConfig};
 use checkmate_wal::EventStream;
 use std::sync::Arc;
 use std::time::Duration;
@@ -98,53 +97,6 @@ fn live_exactly_once(protocol: ProtocolKind) {
         "{protocol}: live exactly-once violated (clean {} records, failed {})",
         clean.sink_records, failed.sink_records
     );
-}
-
-/// Satellite of the tiered-store PR: a live run checkpointing into the
-/// tiered backend — with an aggressive policy so seal *and* demotion
-/// passes actually fire mid-run — must recover from a worker kill to
-/// the exact digest of a flat-store clean run. The compactor races the
-/// uploader, the recovery restore, and the post-line discard here; any
-/// eviction of a line-reachable object would corrupt the restore and
-/// show up as a digest mismatch.
-#[test]
-fn live_tiered_store_recovers_exactly_once() {
-    let graph = counting_graph();
-    for protocol in [ProtocolKind::Coordinated, ProtocolKind::Uncoordinated] {
-        let clean = run_live(&graph, streams(), cfg(protocol, None));
-        let tiering = LiveTiering {
-            tiers: TieredProfile::standard(),
-            policy: TierPolicy {
-                hot_capacity_bytes: 1 << 10,
-                warm_retain_layers: 0,
-                vacuum_dead_fraction: 0.2,
-            },
-            maintain_every: Duration::from_millis(10),
-        };
-        let tiered = run_live(
-            &graph,
-            streams(),
-            LiveConfig {
-                tiering: Some(tiering),
-                ..cfg(protocol, Some(1))
-            },
-        );
-        assert!(tiered.recovered, "{protocol}: recovery did not run");
-        assert_eq!(
-            tiered.sink_digest, clean.sink_digest,
-            "{protocol}: tiered live recovery diverged from flat clean run \
-             (clean {} records, tiered {})",
-            clean.sink_records, tiered.sink_records
-        );
-        let t = tiered.tier.expect("tiered run must report tier stats");
-        assert!(t.maintenance_runs > 0, "{protocol}: compactor never ran");
-        assert!(
-            t.seals > 0,
-            "{protocol}: hot tier never sealed under a 1 KiB capacity \
-             (hot {} bytes) — the test exercised nothing",
-            t.hot.bytes
-        );
-    }
 }
 
 #[test]

@@ -21,11 +21,11 @@
 //!   per-operation traffic accounting ([`StoreStats`]) and
 //!   transient-failure retries with retry accounting.
 //!
-//! On top of the flat backends sits the tiered checkpoint store
-//! ([`TieredBackend`], `tier`/`layer`/`compact` modules): hot ingest →
-//! immutable deduplicated warm layers → modeled cold offload, each tier
-//! priced by its own [`StorageProfile`], with background compaction
-//! that honors recovery-line pins.
+//! Both execution planes checkpoint into one flat store built from
+//! these. The tiered store ([`TieredBackend`], `tier`/`layer`/`compact`
+//! modules: hot ingest → immutable deduplicated warm layers → modeled
+//! cold offload) is a standalone library that neither plane uses; it is
+//! kept for the standalone benchmark's `storage.tier.*` layer cells.
 
 pub mod backend;
 pub mod compact;
